@@ -15,7 +15,7 @@
 //! The JSON gains a `notes` object with `break_even_bytes`: the smallest
 //! measured rung where the warm memory hit beats the uncached rewrite —
 //! the measurement behind `DEFAULT_BYPASS_BYTES`. `scripts/verify.sh`
-//! stage 7 gates on warm-beats-uncached at the largest rung.
+//! stage 6 gates on warm-beats-uncached at the largest rung.
 
 use e9bench::harness::{Harness, Throughput};
 use e9cache::{Cache, CacheConfig};

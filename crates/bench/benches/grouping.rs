@@ -26,9 +26,10 @@ fn main() {
     for n in [1_000usize, 10_000] {
         let ts = scattered_trampolines(n);
         for m in [1u64, 16] {
+            let bs = e9patch::layout::block_size(m).unwrap();
             h.throughput(Throughput::Elements(n as u64));
             h.bench(&format!("greedy_m{m}/{n}"), || {
-                e9patch::group::group(std::hint::black_box(&ts), m, true)
+                e9patch::group::group(std::hint::black_box(&ts), bs, true)
             });
         }
     }

@@ -7,7 +7,7 @@
 
 use e9bench::harness::{Harness, Throughput};
 use e9front::{instrument_via_backend, instrument_with_disasm, Application, Options, Payload};
-use e9proto::msg::{Command, Request};
+use e9proto::msg::{Command, Request, PROTOCOL_VERSION};
 use e9proto::server::serve_connection;
 use e9proto::ProtoClient;
 use e9synth::{generate, Profile};
@@ -21,7 +21,7 @@ fn main() {
     // version handshake plus a batch of cheap stateless-ish commands.
     const MSGS: u64 = 1000;
     let mut input = String::new();
-    input.push_str(&Request { id: 1, cmd: Command::Version { version: 1 } }.encode());
+    input.push_str(&Request { id: 1, cmd: Command::Version { version: PROTOCOL_VERSION } }.encode());
     input.push('\n');
     for id in 2..=MSGS {
         input.push_str(

@@ -24,7 +24,7 @@ fn main() {
 mod linux {
     use e9bench::harness::{Harness, Throughput};
     use e9patch::Template;
-    use e9proto::msg::{Command, Request};
+    use e9proto::msg::{Command, Request, PROTOCOL_VERSION};
     use e9proto::reactor::{serve_reactor, Listener, ReactorOptions};
     use e9proto::server::{serve_connection_with, unix::serve_unix_with, ServeConfig};
     use std::io::{BufRead, BufReader, Cursor, Write};
@@ -43,7 +43,7 @@ mod linux {
             input.push_str(&Request { id, cmd }.encode());
             input.push('\n');
         };
-        push(Command::Version { version: 1 }, &mut input);
+        push(Command::Version { version: PROTOCOL_VERSION }, &mut input);
         push(
             Command::Binary {
                 bytes: sb.binary.clone(),

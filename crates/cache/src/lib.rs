@@ -1,7 +1,7 @@
 //! `e9cache` — content-addressed cache for finished rewrite artifacts.
 //!
 //! The rewrite pipeline is deterministic (byte-identical output for a
-//! given input since PR 1, enforced across `--jobs` since PR 4), which
+//! given input since PR 1), which
 //! makes finished rewrites safely addressable by a digest of their
 //! inputs: `(input ELF bytes, patch batch, RewriteConfig, protocol/format
 //! version)`. This crate provides the storage half of that bargain — the

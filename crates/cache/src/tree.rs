@@ -1,13 +1,12 @@
-//! Shard-parallel tree hashing for cache keying.
+//! Tree hashing for cache keying.
 //!
 //! Keying a rewrite request starts with a digest of the whole input
-//! binary — often the largest single hashing job in the pipeline. A plain
-//! sequential SHA-256 cannot use the worker pool that `--jobs N` already
-//! buys the planner, so large binaries key at single-core speed. The tree
-//! digest fixes that while staying **jobs-invariant**: the result depends
-//! only on the bytes, never on how many workers computed it, so a key
-//! produced with `--jobs 8` matches one produced with `--jobs 1` (the
-//! same invariant PR 4 pinned for planning itself).
+//! binary — often the largest single hashing job in the pipeline. The
+//! tree digest can hash its leaves on several threads while staying
+//! **jobs-invariant**: the result depends only on the bytes, never on
+//! how many workers computed it. The front end and the daemon pass
+//! `jobs = 1`: on 64 MiB, 2 and 4 workers measured no faster than one
+//! (`results/bench_cache.json`), so the threads stay an option only.
 //!
 //! Construction:
 //!

@@ -5,11 +5,21 @@
 //! ENOSPC schedule.
 //!
 //! Failpoint activation is process-global, so every test here holds the
-//! `activate_scoped` gate — they serialize against each other and no
-//! other test binary runs failpoints.
+//! `activate_scoped` gate and a file-wide lock — they serialize against
+//! each other and no other test binary runs failpoints.
 
 use e9cache::{breaker, digest, Cache, CacheConfig, Entry, Hit};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The scoped gate only covers a test's activated window, so one test's
+/// setup I/O could still consume the faults another test scheduled.
+/// Each test holds this for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn tmpdir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("e9cache-failpt-{name}-{}", std::process::id()));
@@ -27,6 +37,7 @@ fn disk_cache(dir: &PathBuf) -> Cache {
 
 #[test]
 fn transient_disk_read_error_is_a_miss_not_a_negative_entry() {
+    let _serial = serial();
     let dir = tmpdir("transient");
     let key = digest(b"job");
     // Publish a healthy positive entry to disk.
@@ -56,6 +67,7 @@ fn transient_disk_read_error_is_a_miss_not_a_negative_entry() {
 
 #[test]
 fn breaker_trips_to_memory_only_and_recovers() {
+    let _serial = serial();
     let dir = tmpdir("breaker-cycle");
     let cache = disk_cache(&dir);
     // Disk full for the first four staging attempts, then space frees up.

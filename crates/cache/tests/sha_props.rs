@@ -7,7 +7,7 @@
 //! The tree-digest properties pin the keying contract on top: below the
 //! 1 MiB chunk the tree digest IS the one-shot digest (so small keys are
 //! free), and above it the result is invariant in the worker count (so
-//! `--jobs` can never split the cache).
+//! no caller's choice of threads can split the cache).
 
 use e9cache::sha256::{self, Sha256};
 use e9cache::tree::{self, tree_digest};

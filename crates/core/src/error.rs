@@ -24,9 +24,12 @@ pub enum Error {
     /// trampoline address lies within ±2 GiB of all of them (only
     /// degenerate disassembly can produce this).
     UnreachableTargets(u64),
-    /// A planning worker thread panicked; the panic was caught at the
-    /// thread-pool boundary and converted into this error.
-    Internal(String),
+    /// The granularity `M` (in pages) gives a block size that overflows
+    /// or exceeds the usable address space.
+    InvalidGranularity(u64),
+    /// No free address range is left for the loader segment (blocks and
+    /// segments cover the whole address space).
+    NoLoaderSpace,
 }
 
 impl fmt::Display for Error {
@@ -44,7 +47,10 @@ impl fmt::Display for Error {
             Error::UnreachableTargets(a) => {
                 write!(f, "instruction at {a:#x} has mutually unreachable rel32 targets")
             }
-            Error::Internal(msg) => write!(f, "internal error: {msg}"),
+            Error::InvalidGranularity(m) => {
+                write!(f, "granularity {m} pages: block size does not fit the address space")
+            }
+            Error::NoLoaderSpace => write!(f, "address space exhausted placing the loader"),
         }
     }
 }

@@ -19,7 +19,6 @@
 //! (at a small optimality cost). At most [`MAX_GROUP_SCAN`] groups are
 //! examined per block.
 
-use e9elf::PAGE_SIZE;
 use std::collections::BTreeMap;
 
 /// Cap on how many existing groups greedy placement examines per block.
@@ -89,8 +88,8 @@ fn occupancy_bits(extents: &[(u64, Vec<u8>)], block_size: u64) -> u64 {
 ///
 /// `trampolines` are `(vaddr, bytes)` pairs (arbitrary order, arbitrary
 /// sizes; extents spanning block boundaries are split into
-/// mini-trampolines, as in the paper). `granularity` is the paper's `M`
-/// (pages per block). With `enable == false` the naïve one-to-one mapping
+/// mini-trampolines, as in the paper). `block_size` is the paper's `M`
+/// pages in bytes, from [`crate::layout::block_size`]. With `enable == false` the naïve one-to-one mapping
 /// is produced (each virtual block backed by its own physical block) — the
 /// ablation baseline for experiment E4.
 ///
@@ -98,8 +97,8 @@ fn occupancy_bits(extents: &[(u64, Vec<u8>)], block_size: u64) -> u64 {
 ///
 /// Panics if two trampolines overlap in virtual memory (allocator
 /// invariant).
-pub fn group(trampolines: &[(u64, Vec<u8>)], granularity: u64, enable: bool) -> Grouping {
-    let bs = granularity.max(1) * PAGE_SIZE;
+pub fn group(trampolines: &[(u64, Vec<u8>)], block_size: u64, enable: bool) -> Grouping {
+    let bs = block_size;
 
     // Bucket (and split) extents by block base.
     let mut blocks: BTreeMap<u64, Vec<(u64, Vec<u8>)>> = BTreeMap::new();
@@ -194,6 +193,7 @@ pub fn group(trampolines: &[(u64, Vec<u8>)], granularity: u64, enable: bool) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use e9elf::PAGE_SIZE;
 
     fn t(vaddr: u64, len: usize, fill: u8) -> (u64, Vec<u8>) {
         (vaddr, vec![fill; len])
@@ -210,7 +210,7 @@ mod tests {
             t(0x12200, 0x100, 4),        // page 3, offset 0x200
             t(0x12C00, 0x100, 5),        // page 3, offset 0xC00
         ];
-        let g = group(&ts, 1, true);
+        let g = group(&ts, PAGE_SIZE, true);
         assert_eq!(g.virtual_blocks, 3);
         assert_eq!(g.groups.len(), 1);
         assert_eq!(g.mapping_count(), 3);
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn naive_mode_one_to_one() {
         let ts = vec![t(0x10000, 0x10, 1), t(0x11000, 0x10, 2), t(0x12000, 0x10, 3)];
-        let g = group(&ts, 1, false);
+        let g = group(&ts, PAGE_SIZE, false);
         assert_eq!(g.groups.len(), 3);
         assert_eq!(g.mapping_count(), 3);
         assert_eq!(g.physical_bytes(), 3 * PAGE_SIZE);
@@ -236,7 +236,7 @@ mod tests {
     fn conflicting_offsets_stay_separate() {
         // Same in-page offset → cannot merge.
         let ts = vec![t(0x10000, 0x10, 1), t(0x11000, 0x10, 2)];
-        let g = group(&ts, 1, true);
+        let g = group(&ts, PAGE_SIZE, true);
         assert_eq!(g.groups.len(), 2);
     }
 
@@ -245,7 +245,7 @@ mod tests {
         // A trampoline crossing a page boundary becomes two
         // mini-trampolines in two blocks.
         let ts = vec![t(0x10FF0, 0x20, 7)];
-        let g = group(&ts, 1, true);
+        let g = group(&ts, PAGE_SIZE, true);
         assert_eq!(g.virtual_blocks, 2);
         // Bytes land at offsets 0xFF0 (page 1) and 0x000 (page 2) — those
         // two blocks conflict-freely merge into one physical page? No:
@@ -263,8 +263,8 @@ mod tests {
         let ts: Vec<_> = (0..16)
             .map(|i| t(0x10000 + i * 0x1000 + (i % 4) * 0x400, 0x40, i as u8 + 1))
             .collect();
-        let g1 = group(&ts, 1, true);
-        let g4 = group(&ts, 4, true);
+        let g1 = group(&ts, PAGE_SIZE, true);
+        let g4 = group(&ts, 4 * PAGE_SIZE, true);
         assert!(g4.mapping_count() <= g1.mapping_count());
         assert_eq!(g4.block_size, 4 * PAGE_SIZE);
     }
@@ -276,8 +276,8 @@ mod tests {
         let ts: Vec<_> = (0..64)
             .map(|i| t(0x100000 + i * 0x1000 + i * 0x40, 0x40, (i % 250) as u8 + 1))
             .collect();
-        let naive = group(&ts, 1, false);
-        let grouped = group(&ts, 1, true);
+        let naive = group(&ts, PAGE_SIZE, false);
+        let grouped = group(&ts, PAGE_SIZE, true);
         assert_eq!(naive.physical_bytes(), 64 * PAGE_SIZE);
         assert!(grouped.physical_bytes() <= 2 * PAGE_SIZE);
         assert_eq!(grouped.mapping_count(), 64); // mappings unchanged
@@ -287,7 +287,7 @@ mod tests {
     #[should_panic(expected = "overlapping trampolines")]
     fn overlap_detected() {
         let ts = vec![t(0x10000, 0x20, 1), t(0x10010, 0x20, 2)];
-        group(&ts, 1, true);
+        group(&ts, PAGE_SIZE, true);
     }
 
     #[test]
@@ -296,7 +296,7 @@ mod tests {
         // coarse bitmap may refuse to merge them (optimality loss), but
         // byte conservation must hold either way.
         let ts = vec![t(0x10000, 0x10, 1), t(0x11020, 0x10, 2)];
-        let g = group(&ts, 1, true);
+        let g = group(&ts, PAGE_SIZE, true);
         // Offsets 0x000 and 0x020 are in the same bucket (bucket = 64 B).
         assert!(g.groups.len() <= 2);
         let mut found = 0;
@@ -320,14 +320,14 @@ mod tests {
         // An extent ending exactly at the block edge must not overflow the
         // 64-bit occupancy bitmap (bucket index 63).
         let ts = vec![t(0x10000 + 4096 - 8, 8, 9)];
-        let g = group(&ts, 1, true);
+        let g = group(&ts, PAGE_SIZE, true);
         assert_eq!(g.groups.len(), 1);
         assert_eq!(g.groups[0].bytes[4088], 9);
     }
 
     #[test]
     fn empty_input() {
-        let g = group(&[], 1, true);
+        let g = group(&[], PAGE_SIZE, true);
         assert_eq!(g.groups.len(), 0);
         assert_eq!(g.mapping_count(), 0);
         assert_eq!(g.virtual_blocks, 0);

@@ -18,12 +18,28 @@
 //!   is how large `.bss` programs (gamess, zeusmp) starve the allocator —
 //!   the paper's limitation **L1**.
 
+use crate::error::{Error, Result};
+use e9elf::PAGE_SIZE;
 use std::collections::BTreeMap;
 
 /// Lowest usable address (null-page guard).
 pub const MIN_ADDR: u64 = 0x10000;
 /// One past the highest usable address (47-bit userspace, minus a guard).
 pub const MAX_ADDR: u64 = 0x7FFF_FFFF_E000;
+
+/// Bytes per block for a granularity of `m` pages (`M * PAGE_SIZE`, with
+/// `m == 0` read as 1). Every block computation starts from this value.
+///
+/// # Errors
+///
+/// [`Error::InvalidGranularity`] when the product overflows or exceeds
+/// the usable address space.
+pub fn block_size(m: u64) -> Result<u64> {
+    m.max(1)
+        .checked_mul(PAGE_SIZE)
+        .filter(|&bs| bs <= MAX_ADDR)
+        .ok_or(Error::InvalidGranularity(m))
+}
 
 /// An inclusive-exclusive interval of candidate target addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,75 +93,6 @@ impl Window {
     /// Whether the window is empty (never true for a constructed window).
     pub fn is_empty(&self) -> bool {
         self.lo >= self.hi
-    }
-}
-
-/// Chunk-ownership mask for parallel planning lanes.
-///
-/// The address space is divided into `chunk`-sized slices; lane `lane` of
-/// `lanes` owns every slice whose index is congruent to `lane` modulo
-/// `lanes`. Masked allocations are confined to owned chunks, so planners
-/// running concurrently on different lanes can never hand out overlapping
-/// trampoline ranges — without sharing any allocator state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StripeMask {
-    chunk: u64,
-    lane: u64,
-    lanes: u64,
-}
-
-impl StripeMask {
-    /// Mask for `lane` (of `lanes`) with the given chunk size.
-    pub fn new(chunk: u64, lane: u64, lanes: u64) -> StripeMask {
-        assert!(chunk >= 1 && lanes >= 1 && lane < lanes);
-        StripeMask { chunk, lane, lanes }
-    }
-
-    /// The stripe chunk size in bytes.
-    pub fn chunk(&self) -> u64 {
-        self.chunk
-    }
-
-    /// Does this lane own the chunk containing `addr`?
-    pub fn owns(&self, addr: u64) -> bool {
-        (addr / self.chunk) % self.lanes == self.lane
-    }
-
-    /// Smallest window length guaranteed to contain a whole owned chunk
-    /// (windows at least this wide always succeed under masking whenever
-    /// an unmasked allocation into a free region would).
-    pub fn wide_min(&self) -> u64 {
-        (self.lanes + 1) * self.chunk
-    }
-
-    /// End of the chunk containing `addr`.
-    fn chunk_end(&self, addr: u64) -> u64 {
-        (addr / self.chunk).saturating_add(1).saturating_mul(self.chunk)
-    }
-
-    /// Start of the nearest owned chunk strictly after the chunk
-    /// containing `addr`.
-    fn next_owned_chunk(&self, addr: u64) -> Option<u64> {
-        let idx = addr / self.chunk;
-        let cur = idx % self.lanes;
-        let step = if cur == self.lane {
-            self.lanes
-        } else {
-            (self.lane + self.lanes - cur) % self.lanes
-        };
-        idx.checked_add(step)?.checked_mul(self.chunk)
-    }
-
-    /// Highest start of a `size`-byte range inside the nearest owned chunk
-    /// strictly before the chunk containing `addr` (requires
-    /// `size <= chunk`; `None` when no owned chunk remains below).
-    fn prev_owned_top(&self, addr: u64, size: u64) -> Option<u64> {
-        let idx = addr / self.chunk;
-        let cur = idx % self.lanes;
-        let back = (cur + self.lanes - self.lane) % self.lanes;
-        let back = if back == 0 { self.lanes } else { back };
-        let owned = idx.checked_sub(back)?;
-        (owned.checked_add(1)?.checked_mul(self.chunk)?).checked_sub(size)
     }
 }
 
@@ -312,99 +259,6 @@ impl AddressSpace {
         }
         self.reserve(addr, end);
         true
-    }
-
-    /// Like [`AddressSpace::alloc_in`], but confined to chunks owned by
-    /// `mask` (parallel lanes). Requires `size <= mask.chunk()`: a masked
-    /// allocation never straddles a chunk boundary, so distinct lanes are
-    /// collision-free by construction.
-    pub fn alloc_in_masked(
-        &mut self,
-        window: Window,
-        size: u64,
-        align: u64,
-        mask: &StripeMask,
-    ) -> Option<u64> {
-        if size == 0 || size > mask.chunk() {
-            return None;
-        }
-        let align = align.max(1);
-        let mut cursor = window.lo.checked_next_multiple_of(align)?;
-        while cursor < window.hi {
-            if !mask.owns(cursor) {
-                cursor = mask.next_owned_chunk(cursor)?.checked_next_multiple_of(align)?;
-                continue;
-            }
-            let end = cursor.checked_add(size)?;
-            if end > mask.chunk_end(cursor) {
-                // No room left in this owned chunk: move to the next one.
-                cursor = mask.next_owned_chunk(cursor)?.checked_next_multiple_of(align)?;
-                continue;
-            }
-            if end > MAX_ADDR {
-                return None;
-            }
-            match self.occupied.range(..end).next_back().map(|(&s, &e)| (s, e)) {
-                Some((_, e)) if e > cursor => {
-                    cursor = e.checked_next_multiple_of(align)?;
-                }
-                _ => {
-                    self.reserve(cursor, end);
-                    return Some(cursor);
-                }
-            }
-        }
-        None
-    }
-
-    /// Like [`AddressSpace::alloc_in_high`], but confined to chunks owned
-    /// by `mask` (see [`AddressSpace::alloc_in_masked`]).
-    pub fn alloc_in_high_masked(
-        &mut self,
-        window: Window,
-        size: u64,
-        align: u64,
-        mask: &StripeMask,
-    ) -> Option<u64> {
-        if size == 0 || size > mask.chunk() || window.is_empty() {
-            return None;
-        }
-        let align = align.max(1);
-        let mut cursor = (window.hi - 1) / align * align;
-        loop {
-            if cursor < window.lo {
-                return None;
-            }
-            if !mask.owns(cursor) {
-                cursor = mask.prev_owned_top(cursor, size)? / align * align;
-                continue;
-            }
-            let end = cursor.checked_add(size)?;
-            if end > mask.chunk_end(cursor) {
-                // Straddles the chunk boundary: slide down inside it
-                // (`size <= chunk`, so the new start stays in the chunk or
-                // falls through to the ownership check above).
-                cursor = (mask.chunk_end(cursor).checked_sub(size)?) / align * align;
-                continue;
-            }
-            if end > MAX_ADDR {
-                cursor = MAX_ADDR.checked_sub(size)? / align * align;
-                continue;
-            }
-            match self.occupied.range(..end).next_back().map(|(&s, &e)| (s, e)) {
-                Some((s, e)) if e > cursor => {
-                    let next = s.checked_sub(size)? / align * align;
-                    if next >= cursor {
-                        return None;
-                    }
-                    cursor = next;
-                }
-                _ => {
-                    self.reserve(cursor, end);
-                    return Some(cursor);
-                }
-            }
-        }
     }
 
     /// Total occupied bytes (diagnostics).
@@ -591,113 +445,21 @@ mod tests {
     }
 
     #[test]
+    fn block_size_is_checked() {
+        assert_eq!(block_size(0), Ok(PAGE_SIZE));
+        assert_eq!(block_size(16), Ok(16 * PAGE_SIZE));
+        assert_eq!(block_size(1 << 34), Ok(1 << 46));
+        // 2^35 pages exceeds the address space; 2^52 wraps to 0.
+        for m in [1u64 << 35, 1 << 52, u64::MAX] {
+            assert_eq!(block_size(m), Err(Error::InvalidGranularity(m)));
+        }
+    }
+
+    #[test]
     fn alloc_in_high_empty_window() {
         // Regression: `window.hi - 1` used to underflow for `hi == 0`.
         let mut a = AddressSpace::new();
         assert_eq!(a.alloc_in_high(Window { lo: 0, hi: 0 }, 1, 1), None);
-    }
-
-    #[test]
-    fn stripe_ownership() {
-        let m = StripeMask::new(0x1000, 2, 4);
-        assert!(m.owns(0x2000));
-        assert!(m.owns(0x2FFF));
-        assert!(!m.owns(0x3000));
-        assert!(m.owns(0x6000)); // chunk 6 ≡ 2 (mod 4)
-        assert_eq!(m.wide_min(), 5 * 0x1000);
-    }
-
-    #[test]
-    fn masked_alloc_stays_in_owned_chunks() {
-        let mut a = AddressSpace::new();
-        let m = StripeMask::new(0x1000, 1, 4);
-        let w = Window {
-            lo: 0x10000,
-            hi: 0x20000,
-        };
-        for _ in 0..16 {
-            let x = a.alloc_in_masked(w, 0x300, 1, &m).unwrap();
-            assert!(m.owns(x) && m.owns(x + 0x2FF), "alloc at {x:#x}");
-        }
-    }
-
-    #[test]
-    fn masked_alloc_never_straddles_chunks() {
-        let mut a = AddressSpace::new();
-        let m = StripeMask::new(0x1000, 0, 2);
-        let w = Window {
-            lo: 0x10000,
-            hi: 0x40000,
-        };
-        // 0xF00-byte allocations leave 0x100-byte tails the next
-        // allocation must not straddle into the unowned neighbour chunk.
-        for _ in 0..8 {
-            let x = a.alloc_in_masked(w, 0xF00, 1, &m).unwrap();
-            assert_eq!(x / 0x1000, (x + 0xEFF) / 0x1000);
-            assert!(m.owns(x));
-        }
-    }
-
-    #[test]
-    fn masked_alloc_rejects_oversized() {
-        let mut a = AddressSpace::new();
-        let m = StripeMask::new(0x1000, 0, 2);
-        assert_eq!(a.alloc_in_masked(Window::all(), 0x1001, 1, &m), None);
-    }
-
-    #[test]
-    fn masked_lanes_are_disjoint() {
-        // Two lanes allocating independently from clones of the same
-        // space never produce overlapping ranges.
-        let base = AddressSpace::new();
-        let w = Window {
-            lo: 0x10000,
-            hi: 0x80000,
-        };
-        let mut got: Vec<(u64, u64)> = Vec::new();
-        for lane in 0..4u64 {
-            let mut a = base.clone();
-            let m = StripeMask::new(0x1000, lane, 4);
-            for _ in 0..8 {
-                let x = a.alloc_in_masked(w, 0x700, 1, &m).unwrap();
-                got.push((x, x + 0x700));
-            }
-        }
-        got.sort_unstable();
-        for pair in got.windows(2) {
-            assert!(pair[0].1 <= pair[1].0, "overlap: {pair:x?}");
-        }
-    }
-
-    #[test]
-    fn masked_high_takes_owned_top() {
-        let mut a = AddressSpace::new();
-        let m = StripeMask::new(0x1000, 1, 4);
-        let w = Window {
-            lo: 0x10000,
-            hi: 0x20000,
-        };
-        let x = a.alloc_in_high_masked(w, 0x100, 1, &m).unwrap();
-        assert!(m.owns(x) && m.owns(x + 0xFF));
-        let y = a.alloc_in_high_masked(w, 0x100, 1, &m).unwrap();
-        assert!(y < x && m.owns(y));
-    }
-
-    #[test]
-    fn masked_wide_window_always_succeeds() {
-        // A free window of at least wide_min() bytes must satisfy any
-        // single-chunk-sized request on every lane.
-        for lane in 0..8u64 {
-            let mut a = AddressSpace::new();
-            let m = StripeMask::new(0x1000, lane, 8);
-            let w = Window {
-                lo: 0x17000,
-                hi: 0x17000 + m.wide_min(),
-            };
-            assert!(a.alloc_in_masked(w, 0x1000, 1, &m).is_some(), "lane {lane}");
-            let mut b = AddressSpace::new();
-            assert!(b.alloc_in_high_masked(w, 0x1000, 1, &m).is_some(), "lane {lane} (high)");
-        }
     }
 
     #[test]

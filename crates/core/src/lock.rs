@@ -69,8 +69,7 @@ impl LockMap {
         }
     }
 
-    /// Iterate over all locked bytes in unspecified order (diagnostics and
-    /// shard-fence verification).
+    /// Iterate over all locked bytes in unspecified order (diagnostics).
     pub fn iter(&self) -> impl Iterator<Item = (u64, LockState)> + '_ {
         self.locks.iter().map(|(&a, &s)| (a, s))
     }
@@ -140,7 +139,7 @@ mod tests {
 
     #[test]
     fn overlapping_can_write_ranges_at_boundary() {
-        // Overlap queries at a shard-boundary-like split: every range that
+        // Overlap queries around a lock-run boundary: every range that
         // shares ≥ 1 byte with a locked run is rejected, adjacent ones are
         // not, regardless of which side of the boundary they start on.
         let mut l = LockMap::new();

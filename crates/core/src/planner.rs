@@ -7,7 +7,7 @@
 //! the trampoline [`AddressSpace`]. Tentative multi-step tactics (T3) are
 //! computed against byte overlays and rolled back cleanly on failure.
 
-use crate::layout::{AddressSpace, StripeMask, Window};
+use crate::layout::{self, AddressSpace, Window};
 use crate::lock::LockMap;
 use crate::pun::PunJump;
 use crate::stats::{PatchStats, TacticKind};
@@ -83,11 +83,6 @@ pub struct RewriteConfig {
     pub grouping: bool,
     /// Trampoline placement policy within pun windows.
     pub alloc_policy: AllocPolicy,
-    /// Parallel planning: `None` runs the sequential legacy planner;
-    /// `Some(n)` runs the sharded pipeline (see [`crate::shard`]) with up
-    /// to `n` worker threads. For a fixed input the sharded output is
-    /// byte-identical for every `n >= 1`.
-    pub jobs: Option<usize>,
 }
 
 impl Default for RewriteConfig {
@@ -98,7 +93,6 @@ impl Default for RewriteConfig {
             granularity: 1,
             grouping: true,
             alloc_policy: AllocPolicy::default(),
-            jobs: None,
         }
     }
 }
@@ -139,27 +133,19 @@ pub struct Planner<'a> {
     pub traps: Vec<(u64, u64)>,
     /// Per-site outcomes, in processing order.
     pub reports: Vec<SiteReport>,
+    /// Block size in bytes (`M * PAGE_SIZE`, checked).
+    block_size: u64,
     cfg: RewriteConfig,
-    /// Lane-ownership mask for parallel planning: wide-window allocations
-    /// are confined to owned stripe chunks (`None` = unrestricted).
-    mask: Option<StripeMask>,
-    /// In-place image writes `(addr, bytes)`, recorded when planning a
-    /// shard whose writes must later be replayed onto the master image.
-    journal: Option<Vec<(u64, Vec<u8>)>>,
 }
 
 impl<'a> Planner<'a> {
     /// The address space trampolines may use for `elf`: everything except
     /// the binary's own (guard-padded) load segments and the caller's
-    /// extra `reserved` ranges, rounded out to block granularity.
-    ///
-    /// `reserved` lists extra `[start, end)` virtual ranges trampolines must
-    /// avoid (instrumentation runtime segments, etc.).
-    pub fn initial_space(elf: &Elf, cfg: &RewriteConfig, reserved: &[(u64, u64)]) -> AddressSpace {
+    /// extra `reserved` ranges, rounded out to blocks of `bs` bytes.
+    fn initial_space(elf: &Elf, bs: u64, reserved: &[(u64, u64)]) -> AddressSpace {
         // Reservations are rounded out to *block* granularity (M pages):
         // the loader later maps whole blocks with MAP_FIXED, so no block
         // containing a trampoline may overlap existing segments.
-        let bs = cfg.granularity.max(1) * PAGE_SIZE;
         let block_floor = |v: u64| v / bs * bs;
         let block_ceil = |v: u64| v.div_ceil(bs) * bs;
         let mut space = AddressSpace::new();
@@ -178,28 +164,21 @@ impl<'a> Planner<'a> {
     ///
     /// `reserved` lists extra `[start, end)` virtual ranges trampolines must
     /// avoid (instrumentation runtime segments, etc.).
+    ///
+    /// # Errors
+    ///
+    /// [`crate::Error::InvalidGranularity`] when `cfg.granularity` gives a
+    /// block size that does not fit the address space (see
+    /// [`layout::block_size`]).
     pub fn new(
         elf: Elf,
         insns: &'a BTreeMap<u64, Insn>,
         cfg: RewriteConfig,
         reserved: &[(u64, u64)],
-    ) -> Planner<'a> {
-        let space = Self::initial_space(&elf, &cfg, reserved);
-        Self::with_space(elf, insns, cfg, space, None)
-    }
-
-    /// Create a planner over a pre-built address space — the parallel
-    /// pipeline's entry point: each shard gets a clone of the initial
-    /// space plus its lane's stripe `mask`, and writes are journaled for
-    /// replay onto the master image at merge time.
-    pub fn with_space(
-        elf: Elf,
-        insns: &'a BTreeMap<u64, Insn>,
-        cfg: RewriteConfig,
-        space: AddressSpace,
-        mask: Option<StripeMask>,
-    ) -> Planner<'a> {
-        Planner {
+    ) -> crate::error::Result<Planner<'a>> {
+        let block_size = layout::block_size(cfg.granularity)?;
+        let space = Self::initial_space(&elf, block_size, reserved);
+        Ok(Planner {
             elf,
             insns,
             locks: LockMap::new(),
@@ -208,10 +187,9 @@ impl<'a> Planner<'a> {
             stats: PatchStats::default(),
             traps: Vec::new(),
             reports: Vec::new(),
+            block_size,
             cfg,
-            mask,
-            journal: mask.map(|_| Vec::new()),
-        }
+        })
     }
 
     /// Read up to `n` file-backed bytes starting at `addr` (shorter at a
@@ -231,33 +209,11 @@ impl<'a> Planner<'a> {
         self.elf
             .write_at(addr, bytes)
             .expect("planner writes stay within file-backed segments");
-        if let Some(journal) = &mut self.journal {
-            journal.push((addr, bytes.to_vec()));
-        }
     }
 
     /// Allocate trampoline space inside `window` per the configured
     /// placement policy.
-    ///
-    /// Under a lane mask, windows wide enough to be guaranteed an owned
-    /// stripe chunk allocate masked (collision-free across lanes by
-    /// construction); narrow windows — T1's `256^f` pun windows and exact
-    /// `f = 0` addresses — cannot honour a stripe, so they allocate
-    /// unmasked and the rare cross-lane collision is detected and repaired
-    /// deterministically at merge time (see [`crate::shard`]).
     fn alloc(&mut self, window: Window, size: u64) -> Option<u64> {
-        if let Some(mask) = self.mask {
-            if window.len() >= mask.wide_min() && size <= mask.chunk() {
-                return match self.cfg.alloc_policy {
-                    AllocPolicy::FirstFitLow => {
-                        self.space.alloc_in_masked(window, size, 1, &mask)
-                    }
-                    AllocPolicy::FirstFitHigh => {
-                        self.space.alloc_in_high_masked(window, size, 1, &mask)
-                    }
-                };
-            }
-        }
         match self.cfg.alloc_policy {
             AllocPolicy::FirstFitLow => self.space.alloc_in(window, size, 1),
             AllocPolicy::FirstFitHigh => self.space.alloc_in_high(window, size, 1),
@@ -694,7 +650,7 @@ impl<'a> Planner<'a> {
             traps: self.traps,
             space: self.space,
             reports: self.reports,
-            journal: self.journal.unwrap_or_default(),
+            block_size: self.block_size,
         }
     }
 }
@@ -714,7 +670,6 @@ pub struct PlannerParts {
     pub space: AddressSpace,
     /// Per-site outcomes.
     pub reports: Vec<SiteReport>,
-    /// In-place image writes, in commit order (empty unless the planner
-    /// was journaling for a parallel shard; see [`Planner::with_space`]).
-    pub journal: Vec<(u64, Vec<u8>)>,
+    /// Block size in bytes, as checked by [`Planner::new`].
+    pub block_size: u64,
 }

@@ -1,6 +1,7 @@
 //! Top-level rewriting API: parse → plan (S1 over tactics) → group →
 //! emit (in-place patches + appended blocks + loader).
 
+use crate::error::Error;
 use crate::group::{self, Grouping};
 use crate::layout::Window;
 use crate::loader::{self, Mapping};
@@ -137,10 +138,11 @@ impl Rewriter {
     ///
     /// # Errors
     ///
-    /// Fails on malformed ELF input, duplicate requests, or requests naming
-    /// unknown instructions. Per-site patch *failures* are reported via
-    /// [`RewriteOutput::stats`], not as errors — mirroring the paper's
-    /// Succ% methodology.
+    /// Fails on malformed ELF input, a granularity whose block size does
+    /// not fit the address space, duplicate requests, requests naming
+    /// unknown instructions, or no room left for the loader. Per-site
+    /// patch *failures* are reported via [`RewriteOutput::stats`], not as
+    /// errors — mirroring the paper's Succ% methodology.
     pub fn rewrite(
         &self,
         input: &[u8],
@@ -158,20 +160,13 @@ impl Rewriter {
             .map(|s| (s.vaddr, s.vaddr + s.bytes.len() as u64))
             .collect();
 
-        let parts = match self.cfg.jobs {
-            None => {
-                let mut planner = Planner::new(elf, &insns, self.cfg, &reserved);
-                planner.patch_all(requests)?;
-                planner.into_parts()
-            }
-            // Sharded parallel planning; output is identical for every
-            // worker count (see the determinism contract in `shard`).
-            Some(_) => crate::shard::plan_parallel(elf, &insns, self.cfg, &reserved, requests)?,
-        };
+        let mut planner = Planner::new(elf, &insns, self.cfg, &reserved)?;
+        planner.patch_all(requests)?;
+        let parts = planner.into_parts();
 
         // Physical page grouping over the placed trampolines.
         let grouping: Grouping =
-            group::group(&parts.trampolines, self.cfg.granularity, self.cfg.grouping);
+            group::group(&parts.trampolines, parts.block_size, self.cfg.grouping);
 
         let mut patcher = Patcher::new(parts.elf);
 
@@ -204,7 +199,7 @@ impl Rewriter {
         }
         let loader_addr = space
             .alloc_in(Window::all(), loader_ub as u64, PAGE_SIZE)
-            .expect("address space exhausted placing the loader");
+            .ok_or(Error::NoLoaderSpace)?;
         let loader_code = loader::emit_loader(loader_addr, orig_entry, &mappings);
         debug_assert!(loader_code.len() <= loader_ub);
         patcher.add_segment(loader_addr, &loader_code, PF_R | PF_X);
@@ -410,6 +405,28 @@ mod tests {
     }
 
     #[test]
+    fn first_error_is_the_highest_unknown_address() {
+        // S1 processes requests highest address first and stops at the
+        // first error, so of two unknown addresses the higher one is named,
+        // whatever order the requests arrive in.
+        let (bin, disasm) = fig1_binary();
+        let (low, high) = (0x402000, 0x403000);
+        let site = |addr| PatchRequest {
+            addr,
+            template: Template::Empty,
+        };
+        for requests in [
+            [site(0x401000), site(low), site(high)],
+            [site(high), site(low), site(0x401000)],
+        ] {
+            let err = Rewriter::default()
+                .rewrite(&bin, &disasm, &requests, &[])
+                .unwrap_err();
+            assert_eq!(err, Error::NoSuchInstruction(high));
+        }
+    }
+
+    #[test]
     fn b0_fallback_registers_trap() {
         // Disable every tactic; enable B0. The site gets an int3.
         let (bin, disasm) = fig1_binary();
@@ -496,5 +513,95 @@ mod tests {
         assert!(out.size.output_bytes > out.size.input_bytes);
         assert_eq!(out.size.input_bytes, bin.len() as u64);
         assert!(out.size.mappings >= 1);
+    }
+
+    #[test]
+    fn unreachable_targets_is_a_typed_error() {
+        // Regression for the reach-window panic path: an instruction decoded
+        // at a degenerate address above the 47-bit ceiling pushes its rel32
+        // targets out of every window — formerly this cascaded into unwraps,
+        // now it must be a typed error.
+        let code = vec![0x48, 0x89, 0x03, 0xC3]; // mov %rax,(%rbx); ret
+        let mut b = ElfBuilder::exec(0x400000);
+        b.text(code.clone(), 0x401000);
+        b.entry(0x401000);
+        let elf = Elf::parse(&b.build()).expect("parse");
+
+        let weird = 0xFFFF_FFFF_FFFF_0000u64;
+        let mut insns: BTreeMap<u64, Insn> = linear_sweep(&code, 0x401000)
+            .into_iter()
+            .map(|i| (i.addr, i))
+            .collect();
+        for i in linear_sweep(&[0x48, 0x89, 0x03], weird) {
+            insns.insert(i.addr, i);
+        }
+        let mut planner = Planner::new(elf, &insns, RewriteConfig::default(), &[]).unwrap();
+        let err = planner.patch_site(weird, &Template::Empty).unwrap_err();
+        assert_eq!(err, Error::UnreachableTargets(weird));
+    }
+
+    #[test]
+    fn empty_target_set_does_not_panic() {
+        // Regression: `ret` has no rel32 targets; the old bounds code
+        // special-cased this ahead of a pair of `unwrap`s — the fold must
+        // yield the unconstrained window and patch normally.
+        let code = vec![0xC3, 0x90, 0x90, 0x90, 0x90]; // ret; nops
+        let mut b = ElfBuilder::exec(0x400000);
+        b.text(code.clone(), 0x401000);
+        b.entry(0x401000);
+        let elf = Elf::parse(&b.build()).expect("parse");
+        let insns: BTreeMap<u64, Insn> = linear_sweep(&code, 0x401000)
+            .into_iter()
+            .map(|i| (i.addr, i))
+            .collect();
+        let mut planner = Planner::new(elf, &insns, RewriteConfig::default(), &[]).unwrap();
+        // Outcome (patched or not) is irrelevant; reaching it without a panic
+        // or error is the contract.
+        planner
+            .patch_site(0x401000, &Template::Empty)
+            .expect("ret site must not error");
+    }
+
+    fn rewrite_with_granularity(
+        granularity: u64,
+        extra: &[ExtraSegment],
+    ) -> crate::error::Result<RewriteOutput> {
+        let (bin, disasm) = fig1_binary();
+        let cfg = RewriteConfig {
+            granularity,
+            ..RewriteConfig::default()
+        };
+        let requests = [PatchRequest {
+            addr: 0x401000,
+            template: Template::Empty,
+        }];
+        Rewriter::new(cfg).rewrite(&bin, &disasm, &requests, extra)
+    }
+
+    #[test]
+    fn oversized_granularity_is_a_typed_error() {
+        // 2^35 pages is a 128 TiB block, larger than the address space
+        // (it used to panic placing the loader); 2^52 pages overflows the
+        // block size to 0 (it used to divide by zero in the planner).
+        for m in [1u64 << 35, 1 << 52, u64::MAX] {
+            let err = rewrite_with_granularity(m, &[]).unwrap_err();
+            assert_eq!(err, Error::InvalidGranularity(m));
+        }
+        // A block that fits, even one of 4 GiB, still rewrites.
+        assert!(rewrite_with_granularity(1 << 20, &[]).is_ok());
+    }
+
+    #[test]
+    fn no_room_for_the_loader_is_a_typed_error() {
+        // Two 64 TiB blocks cover the address space: the binary's
+        // reservation takes the low one and an extra segment the high one.
+        let seg = ExtraSegment {
+            vaddr: 0x5000_0000_0000,
+            bytes: vec![0; 8],
+            exec: false,
+            write: false,
+        };
+        let err = rewrite_with_granularity(1 << 34, &[seg]).unwrap_err();
+        assert_eq!(err, Error::NoLoaderSpace);
     }
 }

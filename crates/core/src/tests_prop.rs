@@ -136,8 +136,9 @@ props! {
             ts.push((cursor, vec![(i % 251 + 1) as u8; len]));
             cursor += len as u64;
         }
-        let grouped = crate::group::group(&ts, granularity, true);
-        let naive = crate::group::group(&ts, granularity, false);
+        let bs = crate::layout::block_size(granularity).unwrap();
+        let grouped = crate::group::group(&ts, bs, true);
+        let naive = crate::group::group(&ts, bs, false);
         prop_assert_eq!(grouped.mapping_count(), grouped.virtual_blocks);
         prop_assert_eq!(naive.mapping_count(), naive.virtual_blocks);
         prop_assert!(grouped.groups.len() <= naive.groups.len());

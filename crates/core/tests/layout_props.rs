@@ -8,7 +8,7 @@
 //! shapes fixed in this change: `alloc_at` end arithmetic, `alloc_in_high`
 //! under-the-ceiling stepping, and cursor rounding at `u64::MAX`).
 
-use e9patch::layout::{AddressSpace, StripeMask, Window, MAX_ADDR, MIN_ADDR};
+use e9patch::layout::{AddressSpace, Window, MAX_ADDR, MIN_ADDR};
 use e9qcheck::prelude::*;
 
 /// Mirror of the planner's rel32 reach margin (kept private there).
@@ -95,81 +95,6 @@ props! {
             prop_assert!(x >= w.lo);
             prop_assert!(x + size <= MAX_ADDR);
             prop_assert_eq!(x % align, 0);
-        }
-    }
-
-    #[test]
-    fn masked_alloc_owned_and_single_chunk(
-        pow in 4u32..16,
-        lane_raw in any::<u64>(),
-        lanes in 1u64..9,
-        lo in any::<u64>(),
-        len in 0u64..0x100_0000,
-        size_raw in any::<u64>(),
-        high in any::<bool>(),
-    ) {
-        let chunk = 1u64 << pow;
-        let m = StripeMask::new(chunk, lane_raw % lanes, lanes);
-        let size = size_raw % chunk + 1;
-        let w = Window { lo, hi: lo.saturating_add(len) };
-        let mut a = AddressSpace::new();
-        let got = if high {
-            a.alloc_in_high_masked(w, size, 1, &m)
-        } else {
-            a.alloc_in_masked(w, size, 1, &m)
-        };
-        if let Some(x) = got {
-            prop_assert!(x >= w.lo && x < w.hi);
-            prop_assert!(m.owns(x), "start not owned");
-            prop_assert!(m.owns(x + size - 1), "end not owned");
-            prop_assert_eq!(x / chunk, (x + size - 1) / chunk);
-            prop_assert!(x + size <= MAX_ADDR);
-        }
-    }
-
-    #[test]
-    fn masked_wide_free_window_always_succeeds(
-        pow in 8u32..13,
-        lane_raw in any::<u64>(),
-        lanes in 1u64..9,
-        base_raw in any::<u64>(),
-    ) {
-        let chunk = 1u64 << pow;
-        let m = StripeMask::new(chunk, lane_raw % lanes, lanes);
-        let base = MIN_ADDR + base_raw % (MAX_ADDR / 2);
-        let w = Window { lo: base, hi: base + m.wide_min() };
-        let mut a = AddressSpace::new();
-        let x = a.alloc_in_masked(w, chunk, 1, &m);
-        prop_assert!(x.is_some(), "wide window must fit a chunk-sized request");
-        let mut b = AddressSpace::new();
-        let y = b.alloc_in_high_masked(w, chunk, 1, &m);
-        prop_assert!(y.is_some(), "wide window must fit (high policy)");
-    }
-
-    #[test]
-    fn masked_lanes_never_collide(
-        pow in 4u32..13,
-        lanes in 2u64..9,
-        sizes in vec(any::<u64>(), 1..24),
-    ) {
-        // Every lane allocates from its own clone of one shared space;
-        // the union of all allocations must be pairwise disjoint.
-        let chunk = 1u64 << pow;
-        let w = Window { lo: MIN_ADDR, hi: MIN_ADDR + 64 * chunk * lanes };
-        let mut all: Vec<(u64, u64)> = Vec::new();
-        for lane in 0..lanes {
-            let m = StripeMask::new(chunk, lane, lanes);
-            let mut a = AddressSpace::new();
-            for s in &sizes {
-                let size = s % chunk + 1;
-                if let Some(x) = a.alloc_in_masked(w, size, 1, &m) {
-                    all.push((x, x + size));
-                }
-            }
-        }
-        all.sort_unstable();
-        for pair in all.windows(2) {
-            prop_assert!(pair[0].1 <= pair[1].0, "lanes collided: {:x?}", pair);
         }
     }
 }

@@ -22,13 +22,11 @@ fn usage() -> ExitCode {
 
 USAGE:
   e9fault [--seed N] [--elf-cases N] [--wire-cases N] [--cache-cases N]
-          [--loop-cases N] [--io-cases N] [--jobs N]
-  e9fault --surface elf|wire|cache|loop|io --case N [--seed N] [--jobs N]
+          [--loop-cases N] [--io-cases N]
+  e9fault --surface elf|wire|cache|loop|io --case N [--seed N]
                                                    replay one case
   e9fault --write-corpus DIR                       regenerate hostile ELFs
 
---jobs N makes the wire baseline select the parallel sharded planner
-(option jobs=N), so mutants exercise the worker-pool path.
 The cache surface damages on-disk rewrite-cache entries and the index
 journal, asserting typed errors, quarantine and cold-path recovery.
 The loop surface runs hostile client behaviors (slow-loris, partial
@@ -43,7 +41,7 @@ The seed defaults to ${ENV_SEED} (then 42). Exit 1 if any case panics."
     ExitCode::from(2)
 }
 
-fn replay(seed: u64, surface: Surface, case: u32, jobs: Option<usize>) -> ExitCode {
+fn replay(seed: u64, surface: Surface, case: u32) -> ExitCode {
     let mut rng = case_rng(seed, surface, case);
     let outcome = match surface {
         Surface::Elf => {
@@ -52,7 +50,7 @@ fn replay(seed: u64, surface: Surface, case: u32, jobs: Option<usize>) -> ExitCo
             e9faultgen::elf_case(&mutant)
         }
         Surface::Wire => {
-            let mutant = wire::mutate(&mut rng, &wire::baseline_script_with_jobs(jobs));
+            let mutant = wire::mutate(&mut rng, &wire::baseline_script());
             eprintln!(
                 "e9fault: replaying wire case {case} ({} bytes)",
                 mutant.len()
@@ -152,7 +150,6 @@ fn main() -> ExitCode {
     let mut surface: Option<Surface> = None;
     let mut case: Option<u32> = None;
     let mut corpus_dir: Option<String> = None;
-    let mut jobs: Option<usize> = None;
     let mut i = 0;
     while i < argv.len() {
         let take = |i: usize| argv.get(i + 1).cloned();
@@ -229,13 +226,6 @@ fn main() -> ExitCode {
                 }
                 None => return usage(),
             },
-            "--jobs" => match take(i).and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => {
-                    jobs = Some(v);
-                    i += 2;
-                }
-                _ => return usage(),
-            },
             "--write-corpus" => match take(i) {
                 Some(d) => {
                     corpus_dir = Some(d);
@@ -254,14 +244,14 @@ fn main() -> ExitCode {
         let Some(surface) = surface else {
             return usage();
         };
-        return replay(seed, surface, case, jobs);
+        return replay(seed, surface, case);
     }
 
     let mut reports = Vec::new();
     match surface {
         Some(Surface::Elf) => reports.push(e9faultgen::run_elf_campaign(seed, elf_cases)),
         Some(Surface::Wire) => {
-            reports.push(e9faultgen::run_wire_campaign_with_jobs(seed, wire_cases, jobs));
+            reports.push(e9faultgen::run_wire_campaign(seed, wire_cases));
         }
         Some(Surface::Cache) => reports.push(e9faultgen::run_cache_campaign(seed, cache_cases)),
         #[cfg(target_os = "linux")]
@@ -275,7 +265,7 @@ fn main() -> ExitCode {
         }
         None => {
             reports.push(e9faultgen::run_elf_campaign(seed, elf_cases));
-            reports.push(e9faultgen::run_wire_campaign_with_jobs(seed, wire_cases, jobs));
+            reports.push(e9faultgen::run_wire_campaign(seed, wire_cases));
             reports.push(e9faultgen::run_cache_campaign(seed, cache_cases));
             #[cfg(target_os = "linux")]
             {

@@ -257,14 +257,7 @@ fn hook_probe(bytes: &[u8], elf: &e9elf::image::Elf) {
 /// well-formed request. Any unwind — and any post-mutation
 /// unserviceability — is recorded as a panic-class failure.
 pub fn run_wire_campaign(seed: u64, cases: u32) -> CampaignReport {
-    run_wire_campaign_with_jobs(seed, cases, None)
-}
-
-/// [`run_wire_campaign`] over a baseline transcript that selects the
-/// parallel sharded planner (`option jobs=<n>`), so mutants exercise the
-/// worker-pool path — shard cut, lane planning, merge — under damage.
-pub fn run_wire_campaign_with_jobs(seed: u64, cases: u32, jobs: Option<usize>) -> CampaignReport {
-    let script = wire::baseline_script_with_jobs(jobs);
+    let script = wire::baseline_script();
     run_campaign(Surface::Wire, seed, cases, |rng| {
         let mutant = wire::mutate(rng, &script);
         wire::wire_case(&mutant)

@@ -22,7 +22,7 @@
 //! completes a well-formed round trip.
 
 use crate::Outcome;
-use e9proto::msg::{Command, Request};
+use e9proto::msg::{Command, Request, PROTOCOL_VERSION};
 use e9proto::reactor::{serve_reactor, Listener, ReactorOptions};
 use e9proto::server::ServeConfig;
 use e9rng::StdRng;
@@ -64,7 +64,7 @@ fn connect(sock: &Path) -> Option<UnixStream> {
 fn version_line(id: u64) -> Vec<u8> {
     let mut out = Request {
         id,
-        cmd: Command::Version { version: 1 },
+        cmd: Command::Version { version: PROTOCOL_VERSION },
     }
     .encode()
     .into_bytes();

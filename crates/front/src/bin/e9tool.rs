@@ -23,13 +23,13 @@ USAGE:
   e9tool disasm BINARY [--limit N]
   e9tool patch BINARY -o OUT [--app a1|a2|a3|all] [--payload empty|counter|counters|lowfat|trace]
               [--no-t1] [--no-t2] [--no-t3] [--b0] [--granularity M] [--no-grouping]
-              [--jobs N] [--report] [--verify]
+              [--report] [--verify]
               [--backend stdio|/path/to.sock|tcp:ADDR:PORT]
               [--cache-dir DIR | --no-cache] [--cache-bypass-bytes N]
   e9tool hook BINARY -o OUT (--func NAME[,NAME..] | --addr ADDR[,ADDR..])
               [--payload counter|nop] [--call-original]
               [--no-t1] [--no-t2] [--no-t3] [--b0] [--granularity M] [--no-grouping]
-              [--jobs N] [--backend stdio|/path/to.sock|tcp:ADDR:PORT]
+              [--backend stdio|/path/to.sock|tcp:ADDR:PORT]
               [--cache-dir DIR | --no-cache] [--cache-bypass-bytes N]
   e9tool run  BINARY [--lowfat] [--max-steps N] [--hex-output] [--hook-counters]
   e9tool health --backend /path/to.sock|tcp:ADDR:PORT|stdio [--json]
@@ -78,7 +78,7 @@ impl Args {
                 let takes_value = matches!(
                     name,
                     "tiny" | "profile" | "scale" | "app" | "payload" | "granularity"
-                        | "jobs" | "max-steps" | "limit" | "backend" | "cache-dir"
+                        | "max-steps" | "limit" | "backend" | "cache-dir"
                         | "cache-bypass-bytes" | "func" | "addr"
                 );
                 if takes_value && i + 1 < argv.len() {
@@ -364,7 +364,7 @@ fn backend_client(spec: &str) -> Result<e9proto::ProtoClient, String> {
     }
 }
 
-/// Build the rewriter configuration from the shared tactic/size/jobs
+/// Build the rewriter configuration from the shared tactic/size
 /// flags (`patch` and `hook` accept the same set).
 fn rewrite_config_from(args: &Args) -> Result<RewriteConfig, String> {
     Ok(RewriteConfig {
@@ -380,13 +380,6 @@ fn rewrite_config_from(args: &Args) -> Result<RewriteConfig, String> {
             .map(|s| s.parse().map_err(|_| "bad --granularity"))
             .transpose()?
             .unwrap_or(1),
-        jobs: args
-            .value("jobs")
-            .map(|s| match s.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err("bad --jobs (want an integer >= 1)"),
-            })
-            .transpose()?,
         ..RewriteConfig::default()
     })
 }
@@ -401,7 +394,6 @@ fn cmd_patch(args: &Args) -> Result<(), String> {
         "no-t3",
         "b0",
         "granularity",
-        "jobs",
         "no-grouping",
         "report",
         "verify",
@@ -559,7 +551,6 @@ fn cmd_hook(args: &Args) -> Result<(), String> {
         "no-t3",
         "b0",
         "granularity",
-        "jobs",
         "no-grouping",
         "backend",
         "cache-dir",

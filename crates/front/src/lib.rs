@@ -379,9 +379,8 @@ pub fn run_job_cached(
             },
         ));
     }
-    // Hash the input exactly once (shard-parallel under --jobs; the tree
-    // digest is jobs-invariant so the key is too).
-    let bin_digest = e9cache::tree::tree_digest(job.binary, job.config.jobs.unwrap_or(1));
+    // Hash the input exactly once.
+    let bin_digest = e9cache::tree::tree_digest(job.binary, 1);
     let key = e9proto::cachekey::rewrite_key_from_digest(
         &bin_digest,
         job.disasm,
@@ -464,13 +463,9 @@ fn send_job_inputs(
             e9patch::AllocPolicy::FirstFitHigh => "high",
         },
     )?;
-    if let Some(n) = cfg.jobs {
-        client.option("jobs", &n.to_string())?;
-    }
-    // Digest-once: hash the input here (with the planner's worker count),
-    // send it alongside the bytes, and the server verifies it at intake
-    // instead of re-hashing at every emit.
-    let bin_digest = e9cache::tree::tree_digest(binary, cfg.jobs.unwrap_or(1));
+    // Digest-once: hash the input here, send it alongside the bytes, and
+    // the server verifies it at intake instead of re-hashing at every emit.
+    let bin_digest = e9cache::tree::tree_digest(binary, 1);
     client.binary_with_digest(binary, &bin_digest)?;
     for i in disasm {
         client.instruction(i.addr, i.bytes())?;

@@ -154,6 +154,46 @@ fn unknown_flags_are_rejected() {
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown flag --pei"), "stderr: {err}");
+
+    // The sharded planner's flag was removed, not silently ignored.
+    for sub in ["patch", "hook"] {
+        let out = e9tool()
+            .args([sub, "in.elf", "-o", "out.e9", "--jobs", "4"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{sub}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag --jobs"), "{sub} stderr: {err}");
+    }
+}
+
+#[test]
+fn oversized_granularity_exits_one_without_panic() {
+    // Both values used to panic the rewriter: a block larger than the
+    // address space, and one whose byte size overflows to zero.
+    let dir = tmpdir("granularity");
+    let elf = dir.join("demo.elf");
+    assert!(e9tool()
+        .args(["gen", "--tiny", "cli-granularity", "-o"])
+        .arg(&elf)
+        .status()
+        .unwrap()
+        .success());
+    for m in ["34359738368", "4503599627370496"] {
+        let out = e9tool()
+            .arg("patch")
+            .arg(&elf)
+            .arg("-o")
+            .arg(dir.join("demo.e9"))
+            .args(["--app", "a1", "--granularity", m])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "granularity {m}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("granularity {m} pages")), "stderr: {err}");
+        assert!(!err.contains("panicked"), "stderr: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[cfg(unix)]

@@ -45,9 +45,6 @@
 //! * `--max-line-bytes N` — longest accepted request line (default
 //!   67108864 = 64 MiB). Longer lines are drained and answered with a
 //!   typed `LIMIT` error; the connection survives.
-//! * `--jobs N` — default planner worker count for every session (the
-//!   parallel sharded pipeline; output is byte-identical for every N).
-//!   A client's explicit `option jobs` overrides it.
 //! * `--drain-ms N` — on shutdown, how long an in-flight connection may
 //!   sit inactive before being cut (default 5000).
 //!
@@ -84,7 +81,6 @@ OPTIONS:
   --drain-ms N          shutdown drain inactivity bound in ms (default 5000)
   --timeout-ms N        idle timeout in ms (default 30000, 0 = none)
   --max-line-bytes N    longest accepted request line (default 67108864)
-  --jobs N              default planner worker count (default: sequential)
   --cache-dir PATH      enable the rewrite cache with an on-disk tier at PATH
   --cache-mem-bytes N   memory-tier budget in bytes (default 67108864;
                         without --cache-dir, enables memory-only caching)
@@ -183,13 +179,6 @@ fn main() -> ExitCode {
             "--max-line-bytes" if i + 1 < argv.len() => {
                 match argv[i + 1].parse::<usize>() {
                     Ok(n) if n > 0 => config.max_line_bytes = n,
-                    _ => return usage(),
-                }
-                i += 2;
-            }
-            "--jobs" if i + 1 < argv.len() => {
-                match argv[i + 1].parse::<usize>() {
-                    Ok(n) if n >= 1 => config.default_jobs = Some(n),
                     _ => return usage(),
                 }
                 i += 2;

@@ -2,9 +2,8 @@
 //!
 //! A rewrite's output is a pure function of `(input ELF bytes, the full
 //! command batch, the rewriter configuration)` — the pipeline has been
-//! deterministic since PR 1, and PR 4 pinned byte-identical output across
-//! every `--jobs` value. That makes the output safely addressable by a
-//! digest of those inputs, which is what [`rewrite_key`] computes.
+//! deterministic since PR 1. That makes the output safely addressable by
+//! a digest of those inputs, which is what [`rewrite_key`] computes.
 //!
 //! The batch is absorbed through a compact tagged binary framing: each
 //! logical step (`instruction`, `reserve`, `patch`) contributes a type
@@ -21,15 +20,9 @@
 //! its raw bytes — that is what lets a client hash the input once, send
 //! the digest alongside the `binary` command, and have the server reuse
 //! the verified digest for every subsequent `emit` ([`rewrite_key_from_digest`]).
-//! Since the tree digest is jobs-invariant, the key is too.
 //!
-//! Deliberately **excluded** from the key:
-//!
-//! * `jobs` — the parallelism degree changes wall-clock, not bytes
-//!   (PR 4's parity guarantee); including it would split the cache per
-//!   thread count for identical outputs.
-//! * anything about the serving surface (socket vs stdio vs in-process),
-//!   session limits, or I/O paths.
+//! Deliberately **excluded** from the key: anything about the serving
+//! surface (socket vs stdio vs in-process), session limits, or I/O paths.
 //!
 //! Versioning: the key material starts with a domain tag plus
 //! [`e9cache::FORMAT_VERSION`] and [`PROTOCOL_VERSION`], so any change to
@@ -37,6 +30,12 @@
 //! misreading old entries. All multi-byte parts are length-prefixed —
 //! the encoding is injective, two different jobs cannot produce the same
 //! key material.
+//!
+//! [`PROTOCOL_VERSION`] went from 1 to 2 when the sharded planner and its
+//! `jobs` option were removed. Sharded output differed from sequential
+//! output, yet `jobs` was never part of the key, so a disk store could
+//! hold sharded bytes under a sequential key. The bump re-keys every
+//! entry, so none of those is ever served again.
 
 use crate::json::Json;
 use crate::msg::{Command, PROTOCOL_VERSION};
@@ -56,8 +55,7 @@ fn part(h: &mut Sha256, bytes: &[u8]) {
 }
 
 /// Canonical JSON encoding of the cache-relevant [`RewriteConfig`]
-/// fields (everything that can change output bytes; `jobs` is parity-
-/// guaranteed and therefore omitted).
+/// fields (everything that can change output bytes).
 pub fn config_json(cfg: &RewriteConfig) -> Json {
     crate::json::obj(vec![
         ("t1", Json::Bool(cfg.tactics.t1)),
@@ -211,21 +209,10 @@ mod tests {
     }
 
     #[test]
-    fn jobs_does_not_split_the_cache() {
-        // PR 4 guarantees byte-identical output for every jobs value, so
-        // the key must not depend on it.
-        let (bin, insns, extra, patches) = job();
-        let mut cfg = RewriteConfig::default();
-        let base = rewrite_key(&bin, &insns, &extra, &patches, &cfg);
-        cfg.jobs = Some(8);
-        assert_eq!(rewrite_key(&bin, &insns, &extra, &patches, &cfg), base);
-    }
-
-    #[test]
     fn digest_form_matches_raw_form_for_every_jobs() {
         // The digest-once path must land on the same key as the raw-bytes
         // convenience, for any worker count used to hash the input —
-        // otherwise a client that pre-hashes with --jobs splits the cache.
+        // otherwise a client that pre-hashes differently splits the cache.
         let (bin, insns, extra, patches) = job();
         let cfg = RewriteConfig::default();
         let base = rewrite_key(&bin, &insns, &extra, &patches, &cfg);

@@ -25,8 +25,9 @@ use std::fmt;
 
 /// The protocol version this crate speaks. Negotiated by the mandatory
 /// leading `version` request; mismatches are rejected with
-/// [`code::VERSION`].
-pub const PROTOCOL_VERSION: u64 = 1;
+/// [`code::VERSION`]. Version 2 dropped the `jobs` option; it also enters
+/// every cache key (see [`crate::cachekey`]).
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// JSON-RPC and application error codes.
 pub mod code {

@@ -6,7 +6,7 @@
 //! still funnels through [`dispatch_line`](crate::server::dispatch_line)
 //! — the exact choke point the threaded path uses — so replies are
 //! byte-identical between the two serving modes (asserted by the
-//! `reactor_daemon` integration tests and verify.sh stage 8).
+//! `reactor_daemon` integration tests and verify.sh stage 7).
 //!
 //! ## The BUSY contract
 //!
@@ -36,7 +36,7 @@ use std::time::Duration;
 
 /// Reactor-specific serving knobs, layered on top of [`ServeConfig`]
 /// (which keeps owning the protocol-level hardening: line cap, session
-/// quotas, idle timeout, shared cache, default jobs).
+/// quotas, idle timeout, shared cache).
 #[derive(Debug, Clone)]
 pub struct ReactorOptions {
     /// Most live connections; arrivals beyond this get one BUSY line.
@@ -131,7 +131,7 @@ impl Service for SessionService {
 }
 
 /// Creates one [`SessionService`] per accepted connection, wired to the
-/// shared [`ServeConfig`] (quotas, cache, default jobs).
+/// shared [`ServeConfig`] (quotas, cache).
 pub struct SessionFactory {
     config: ServeConfig,
 }
@@ -149,7 +149,6 @@ impl ServiceFactory for SessionFactory {
 
     fn connect(&mut self) -> SessionService {
         let mut session = Session::with_limits(self.config.limits.clone());
-        session.set_default_jobs(self.config.default_jobs);
         session.set_cache(self.config.cache.clone());
         session.set_health(self.config.serving_mode, Arc::clone(&self.config.shed));
         SessionService {

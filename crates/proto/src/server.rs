@@ -54,10 +54,6 @@ pub struct ServeConfig {
     /// Socket read/write timeout (`None` = block forever). Only the Unix
     /// socket transport can enforce this; stdio ignores it.
     pub io_timeout: Option<Duration>,
-    /// Default planner worker count for every session served with this
-    /// config (`e9patchd --jobs`). A client's explicit `option jobs`
-    /// overrides it; `None` keeps the sequential planner.
-    pub default_jobs: Option<usize>,
     /// Shared rewrite cache (`e9patchd --cache-dir` / `--cache-mem-bytes`).
     /// One [`Arc`](std::sync::Arc) handed to every connection's session,
     /// so all clients pool artifacts; `None` disables caching.
@@ -75,7 +71,6 @@ impl Default for ServeConfig {
             max_line_bytes: 64 << 20,
             limits: SessionLimits::default(),
             io_timeout: Some(Duration::from_millis(30_000)),
-            default_jobs: None,
             cache: None,
             serving_mode: "in-process",
             shed: Arc::new(ShedCounters::default()),
@@ -206,7 +201,6 @@ pub fn serve_connection_with<R: BufRead, W: Write>(
     config: &ServeConfig,
 ) -> io::Result<bool> {
     let mut session = Session::with_limits(config.limits.clone());
-    session.set_default_jobs(config.default_jobs);
     session.set_cache(config.cache.clone());
     session.set_health(config.serving_mode, Arc::clone(&config.shed));
     let mut line = Vec::new();
@@ -422,7 +416,7 @@ pub mod unix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::{Command, EmitReply};
+    use crate::msg::{Command, EmitReply, PROTOCOL_VERSION};
 
     fn run_lines(input: &str) -> Vec<Response> {
         let mut reader = io::Cursor::new(input.as_bytes().to_vec());
@@ -439,7 +433,7 @@ mod tests {
     fn parse_errors_get_null_id_and_continue() {
         let responses = run_lines(
             "this is not json\n\
-             {\"jsonrpc\":\"2.0\",\"id\":3,\"method\":\"version\",\"params\":{\"version\":1}}\n",
+             {\"jsonrpc\":\"2.0\",\"id\":3,\"method\":\"version\",\"params\":{\"version\":2}}\n",
         );
         assert_eq!(responses.len(), 2);
         assert_eq!(responses[0].id, None);
@@ -467,7 +461,7 @@ mod tests {
         let big = "x".repeat(4096);
         let input = format!(
             "{{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"{big}\"}}\n\
-             {{\"jsonrpc\":\"2.0\",\"id\":2,\"method\":\"version\",\"params\":{{\"version\":1}}}}\n"
+             {{\"jsonrpc\":\"2.0\",\"id\":2,\"method\":\"version\",\"params\":{{\"version\":2}}}}\n"
         );
         let mut reader = io::Cursor::new(input.into_bytes());
         let mut out: Vec<u8> = Vec::new();
@@ -488,7 +482,7 @@ mod tests {
     #[test]
     fn blank_lines_are_skipped() {
         let responses = run_lines(
-            "\n  \n{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"version\",\"params\":{\"version\":1}}\n\n",
+            "\n  \n{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"version\",\"params\":{\"version\":2}}\n\n",
         );
         assert_eq!(responses.len(), 1);
     }
@@ -496,7 +490,7 @@ mod tests {
     #[test]
     fn shutdown_ends_the_connection() {
         let input = "\
-            {\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"version\",\"params\":{\"version\":1}}\n\
+            {\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"version\",\"params\":{\"version\":2}}\n\
             {\"jsonrpc\":\"2.0\",\"id\":2,\"method\":\"shutdown\",\"params\":{}}\n\
             {\"jsonrpc\":\"2.0\",\"id\":3,\"method\":\"emit\",\"params\":{}}\n";
         let mut reader = io::Cursor::new(input.as_bytes().to_vec());
@@ -528,7 +522,7 @@ mod tests {
             input.push_str(&Request { id, cmd }.encode());
             input.push('\n');
         };
-        push(Command::Version { version: 1 }, &mut input);
+        push(Command::Version { version: PROTOCOL_VERSION }, &mut input);
         push(Command::Binary { bytes: bin, digest: None }, &mut input);
         for i in &disasm {
             push(
@@ -553,5 +547,52 @@ mod tests {
         let reply = EmitReply::from_json(last.body.as_ref().unwrap()).unwrap();
         assert_eq!(reply.stats.succeeded(), 1);
         assert!(reply.binary.len() > 0x1000);
+    }
+
+    #[test]
+    fn oversized_granularity_is_typed_through_dispatch_line() {
+        // Both values used to panic the rewriter, which the daemon
+        // answered with `-6 INTERNAL`; now the emit is a typed error.
+        let code_bytes = vec![0x48, 0x89, 0x03, 0xC3, 0x0F, 0x1F, 0x44, 0x00, 0x00];
+        let mut b = e9elf::build::ElfBuilder::exec(0x400000);
+        b.text(code_bytes.clone(), 0x401000);
+        b.entry(0x401000);
+        let bin = b.build();
+        for m in ["34359738368", "4503599627370496"] {
+            let mut cmds = vec![
+                Command::Version { version: PROTOCOL_VERSION },
+                Command::Option {
+                    name: "granularity".into(),
+                    value: m.into(),
+                },
+                Command::Binary {
+                    bytes: bin.clone(),
+                    digest: None,
+                },
+            ];
+            for i in e9x86::decode::linear_sweep(&code_bytes, 0x401000) {
+                cmds.push(Command::Instruction {
+                    addr: i.addr,
+                    bytes: i.bytes().to_vec(),
+                });
+            }
+            cmds.push(Command::Patch {
+                addr: 0x401000,
+                template: e9patch::Template::Empty,
+            });
+            cmds.push(Command::Emit);
+            let mut session = Session::new();
+            let last = cmds.len() - 1;
+            for (id, cmd) in cmds.into_iter().enumerate() {
+                let line = Request { id: id as u64, cmd }.encode();
+                let body = dispatch_line(&mut session, line.as_bytes()).body;
+                if id < last {
+                    body.expect("setup command failed");
+                } else {
+                    let e = body.unwrap_err();
+                    assert_eq!(e.code, code::REWRITE, "granularity {m}: {}", e.message);
+                }
+            }
+        }
     }
 }

@@ -115,12 +115,6 @@ impl Session {
         }
     }
 
-    /// Set a default worker count for planning, as if the client had sent
-    /// `option jobs=<n>`. A later explicit `option jobs` overrides it.
-    pub fn set_default_jobs(&mut self, jobs: Option<usize>) {
-        self.config.jobs = jobs;
-    }
-
     /// Attach a rewrite cache. The daemon passes one shared [`Arc`] to
     /// every connection's session, so all clients pool their artifacts.
     pub fn set_cache(&mut self, cache: Option<Arc<Cache>>) {
@@ -255,7 +249,7 @@ impl Session {
             // client poison another's cache keys. The recompute here is
             // the session's ONE hash of the input — every later emit
             // reuses it.
-            let actual = e9cache::tree::tree_digest(&bytes, self.config.jobs.unwrap_or(1));
+            let actual = e9cache::tree::tree_digest(&bytes, 1);
             if actual != claimed {
                 return Err(RpcError::invalid_params(format!(
                     "binary digest mismatch: claimed {} but input hashes to {}",
@@ -307,14 +301,6 @@ impl Session {
                         )))
                     }
                 };
-            }
-            "jobs" => {
-                let n: usize = value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    RpcError::invalid_params(format!(
-                        "option jobs: want an integer >= 1, got {value:?}"
-                    ))
-                })?;
-                self.config.jobs = Some(n);
             }
             _ => {
                 return Err(RpcError::invalid_params(format!(
@@ -406,8 +392,7 @@ impl Session {
         // reuse the 32-byte digest for every later keying.
         if self.binary_digest.is_none() {
             let binary = self.binary.as_deref().expect("checked above");
-            self.binary_digest =
-                Some(e9cache::tree::tree_digest(binary, self.config.jobs.unwrap_or(1)));
+            self.binary_digest = Some(e9cache::tree::tree_digest(binary, 1));
         }
         let bin_digest = self.binary_digest.expect("just ensured");
         let key = cachekey::rewrite_key_from_digest(
@@ -579,12 +564,18 @@ mod tests {
         // Anything before version is a state error.
         let e = s.handle(Command::Emit).unwrap_err();
         assert_eq!(e.code, code::STATE);
-        // Wrong version is rejected and the session stays un-negotiated.
-        let e = s.handle(Command::Version { version: 99 }).unwrap_err();
-        assert_eq!(e.code, code::VERSION);
-        assert!(s.handle(Command::Version { version: 1 }).is_ok());
+        // Wrong versions are rejected and the session stays un-negotiated.
+        // Version 1 still had the `jobs` option, so its clients fail here
+        // rather than mid-batch.
+        for stale in [1, 99] {
+            let e = s.handle(Command::Version { version: stale }).unwrap_err();
+            assert_eq!(e.code, code::VERSION);
+            let want = format!("unsupported protocol version {stale}");
+            assert!(e.message.contains(&want), "{}", e.message);
+        }
+        assert!(s.handle(Command::Version { version: PROTOCOL_VERSION }).is_ok());
         // Double negotiation is a state error.
-        let e = s.handle(Command::Version { version: 1 }).unwrap_err();
+        let e = s.handle(Command::Version { version: PROTOCOL_VERSION }).unwrap_err();
         assert_eq!(e.code, code::STATE);
         // Instruction/patch before binary are state errors.
         let e = s
@@ -609,7 +600,7 @@ mod tests {
         let disasm = e9x86::decode::linear_sweep(&code, base);
         let mut s = Session::new();
         let mut cmds = vec![
-            Command::Version { version: 1 },
+            Command::Version { version: PROTOCOL_VERSION },
             Command::Binary { bytes: bin.clone(), digest: None },
         ];
         for i in &disasm {
@@ -649,7 +640,7 @@ mod tests {
         let (bin, code, base) = tiny();
         let disasm = e9x86::decode::linear_sweep(&code, base);
         let mut s = Session::new();
-        s.handle(Command::Version { version: 1 }).unwrap();
+        s.handle(Command::Version { version: PROTOCOL_VERSION }).unwrap();
         for (n, v) in [("t1", "false"), ("t2", "false"), ("t3", "false"), ("granularity", "4")] {
             s.handle(Command::Option {
                 name: n.into(),
@@ -690,42 +681,24 @@ mod tests {
     }
 
     #[test]
-    fn jobs_option_parses_and_rejects_zero() {
+    fn jobs_option_is_unknown() {
         let mut s = Session::new();
-        s.handle(Command::Version { version: 1 }).unwrap();
-        s.handle(Command::Option {
-            name: "jobs".into(),
-            value: "4".into(),
-        })
-        .unwrap();
-        assert_eq!(s.config.jobs, Some(4));
-        for bad in ["0", "-1", "many"] {
-            let e = s
-                .handle(Command::Option {
-                    name: "jobs".into(),
-                    value: bad.into(),
-                })
-                .unwrap_err();
-            assert_eq!(e.code, code::INVALID_PARAMS, "value {bad:?}");
-        }
-        // The daemon-level default is overridable by the client.
-        let mut d = Session::new();
-        d.set_default_jobs(Some(8));
-        d.handle(Command::Version { version: 1 }).unwrap();
-        assert_eq!(d.config.jobs, Some(8));
-        d.handle(Command::Option {
-            name: "jobs".into(),
-            value: "2".into(),
-        })
-        .unwrap();
-        assert_eq!(d.config.jobs, Some(2));
+        s.handle(Command::Version { version: PROTOCOL_VERSION }).unwrap();
+        let e = s
+            .handle(Command::Option {
+                name: "jobs".into(),
+                value: "4".into(),
+            })
+            .unwrap_err();
+        assert_eq!(e.code, code::INVALID_PARAMS);
+        assert!(e.message.contains("unknown option \"jobs\""), "{}", e.message);
     }
 
     #[test]
     fn bad_instruction_bytes_are_decode_errors() {
         let (bin, _, _) = tiny();
         let mut s = Session::new();
-        s.handle(Command::Version { version: 1 }).unwrap();
+        s.handle(Command::Version { version: PROTOCOL_VERSION }).unwrap();
         s.handle(Command::Binary { bytes: bin, digest: None }).unwrap();
         // Truncated instruction (mov needs 3 bytes).
         let e = s
@@ -752,7 +725,7 @@ mod tests {
         let disasm = e9x86::decode::linear_sweep(&code, base);
         let mut s = Session::new();
         s.set_cache(cache);
-        s.handle(Command::Version { version: 1 }).unwrap();
+        s.handle(Command::Version { version: PROTOCOL_VERSION }).unwrap();
         s.handle(Command::Binary { bytes: bin, digest: None }).unwrap();
         for i in &disasm {
             s.handle(Command::Instruction {
@@ -826,7 +799,7 @@ mod tests {
         let cache = Arc::new(Cache::in_memory_no_bypass());
         let mut s = Session::new();
         s.set_cache(Some(Arc::clone(&cache)));
-        s.handle(Command::Version { version: 1 }).unwrap();
+        s.handle(Command::Version { version: PROTOCOL_VERSION }).unwrap();
         s.handle(Command::Binary { bytes: bin, digest: None }).unwrap();
         // A patch at an address with no declared instruction fails the
         // rewrite deterministically.
@@ -866,7 +839,7 @@ mod tests {
         let cache = Arc::new(Cache::in_memory());
         let mut s = Session::new();
         s.set_cache(Some(Arc::clone(&cache)));
-        s.handle(Command::Version { version: 1 }).unwrap();
+        s.handle(Command::Version { version: PROTOCOL_VERSION }).unwrap();
         s.handle(Command::Binary { bytes: bin, digest: None }).unwrap();
         s.handle(Command::Patch {
             addr: 0x401000,
@@ -889,7 +862,7 @@ mod tests {
     fn binary_digest_is_verified_at_intake() {
         let (bin, _, _) = tiny();
         let mut s = Session::new();
-        s.handle(Command::Version { version: 1 }).unwrap();
+        s.handle(Command::Version { version: PROTOCOL_VERSION }).unwrap();
         let wrong = e9cache::digest(b"not the binary");
         let e = s
             .handle(Command::Binary {
@@ -900,8 +873,8 @@ mod tests {
         assert_eq!(e.code, code::INVALID_PARAMS);
         assert!(e.message.contains("digest mismatch"), "{}", e.message);
         // The rejected intake left no binary behind; the correct digest
-        // (jobs-invariant, so any worker count works) is accepted.
-        let right = e9cache::tree::tree_digest(&bin, 4);
+        // is accepted.
+        let right = e9cache::tree::tree_digest(&bin, 1);
         s.handle(Command::Binary {
             bytes: bin,
             digest: Some(right),
@@ -914,7 +887,7 @@ mod tests {
         use crate::msg::{CacheAction, CacheStatsReply};
         // Without a cache: disabled, zero counters, clear is a no-op.
         let mut bare = Session::new();
-        bare.handle(Command::Version { version: 1 }).unwrap();
+        bare.handle(Command::Version { version: PROTOCOL_VERSION }).unwrap();
         let r = bare
             .handle(Command::Cache {
                 action: CacheAction::Stats,
@@ -981,7 +954,7 @@ mod tests {
     #[test]
     fn bad_elf_rejected_at_binary_time() {
         let mut s = Session::new();
-        s.handle(Command::Version { version: 1 }).unwrap();
+        s.handle(Command::Version { version: PROTOCOL_VERSION }).unwrap();
         let e = s
             .handle(Command::Binary {
                 bytes: vec![0u8; 64],

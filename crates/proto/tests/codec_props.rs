@@ -230,7 +230,7 @@ fn hostile_request_lines_get_in_band_errors() {
     // The session still works afterwards.
     let r = dispatch_line(
         &mut s,
-        br#"{"jsonrpc":"2.0","id":1,"method":"version","params":{"version":1}}"#,
+        br#"{"jsonrpc":"2.0","id":1,"method":"version","params":{"version":2}}"#,
     );
     assert!(r.body.is_ok());
 }

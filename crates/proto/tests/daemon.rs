@@ -185,6 +185,7 @@ fn client_killed_mid_batch_does_not_poison_the_daemon() {
 #[cfg(unix)]
 #[test]
 fn daemon_rejects_oversized_lines_in_band() {
+    use std::io::ErrorKind::{ConnectionRefused, NotFound};
     use std::io::{BufRead, BufReader, Write};
 
     let dir = std::env::temp_dir().join(format!("e9patchd-maxline-{}", std::process::id()));
@@ -200,13 +201,17 @@ fn daemon_rejects_oversized_lines_in_band() {
             .unwrap(),
     );
 
-    for _ in 0..200 {
-        if sock.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    let mut stream = std::os::unix::net::UnixStream::connect(&sock).unwrap();
+    // The socket file appears at `bind`, a moment before `listen`: retry
+    // a missing file or a refused connect until the daemon is listening.
+    let mut stream = (0..500)
+        .find_map(|_| match std::os::unix::net::UnixStream::connect(&sock) {
+            Err(e) if matches!(e.kind(), NotFound | ConnectionRefused) => {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                None
+            }
+            other => Some(other.unwrap()),
+        })
+        .expect("daemon never listened");
     let mut reader = BufReader::new(stream.try_clone().unwrap());
 
     let big = format!(
@@ -220,7 +225,7 @@ fn daemon_rejects_oversized_lines_in_band() {
 
     // Same connection still serves well-formed requests.
     stream
-        .write_all(b"{\"jsonrpc\":\"2.0\",\"id\":2,\"method\":\"version\",\"params\":{\"version\":1}}\n")
+        .write_all(b"{\"jsonrpc\":\"2.0\",\"id\":2,\"method\":\"version\",\"params\":{\"version\":2}}\n")
         .unwrap();
     line.clear();
     reader.read_line(&mut line).unwrap();

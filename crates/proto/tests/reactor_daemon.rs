@@ -6,7 +6,7 @@
 #![cfg(target_os = "linux")]
 
 use e9patch::{PatchRequest, RewriteConfig, Rewriter, Template};
-use e9proto::msg::{code, Command, Request};
+use e9proto::msg::{code, Command, Request, PROTOCOL_VERSION};
 use e9proto::ProtoClient;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -32,6 +32,22 @@ fn wait_for_sock(sock: &Path) {
         std::thread::sleep(Duration::from_millis(10));
     }
     panic!("daemon never bound {}", sock.display());
+}
+
+/// Connect as a fresh client once the daemon listens. The socket file
+/// appears at `bind`, a moment before `listen`, so both a missing file and
+/// a refused connect are retried.
+fn connect(sock: &Path) -> UnixStream {
+    use std::io::ErrorKind::{ConnectionRefused, NotFound};
+    for _ in 0..500 {
+        match UnixStream::connect(sock) {
+            Err(e) if matches!(e.kind(), NotFound | ConnectionRefused) => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            other => return other.unwrap(),
+        }
+    }
+    panic!("daemon never listened on {}", sock.display());
 }
 
 /// Kills the daemon on drop so a panicking test can never orphan it. An
@@ -79,7 +95,7 @@ fn job_transcript(bin: &[u8], disasm: &[e9x86::insn::Insn], sites: &[u64]) -> (S
         input.push_str(&Request { id, cmd }.encode());
         input.push('\n');
     };
-    push(Command::Version { version: 1 }, &mut input);
+    push(Command::Version { version: PROTOCOL_VERSION }, &mut input);
     push(
         Command::Binary {
             bytes: bin.to_vec(),
@@ -152,8 +168,7 @@ fn reactor_replies_are_byte_identical_to_threaded() {
             cmd.arg("--threaded");
         }
         let mut daemon = Reap(cmd.stderr(Stdio::null()).spawn().unwrap());
-        wait_for_sock(&sock);
-        let mut stream = UnixStream::connect(&sock).unwrap();
+        let mut stream = connect(&sock);
         // One write: the entire job is pipelined.
         stream.write_all(transcript.as_bytes()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -342,9 +357,7 @@ fn pending_budget_answers_busy_in_band() {
             .spawn()
             .unwrap(),
     );
-    wait_for_sock(&sock);
-
-    let mut stream = UnixStream::connect(&sock).unwrap();
+    let mut stream = connect(&sock);
     // Pipeline far more reply volume than the kernel socket buffers plus
     // the 4 KiB budget can hold, without reading any of it: one version
     // negotiation, then thousands of cache-stats queries.
@@ -352,7 +365,7 @@ fn pending_budget_answers_busy_in_band() {
     blob.push_str(
         &Request {
             id: 1,
-            cmd: Command::Version { version: 1 },
+            cmd: Command::Version { version: PROTOCOL_VERSION },
         }
         .encode(),
     );
@@ -442,14 +455,12 @@ fn pipelined_requests_reply_in_order() {
             .spawn()
             .unwrap(),
     );
-    wait_for_sock(&sock);
-
-    let mut stream = UnixStream::connect(&sock).unwrap();
+    let mut stream = connect(&sock);
     let mut blob = String::new();
     let n = 256u64;
     for id in 1..=n {
         let cmd = if id == 1 {
-            Command::Version { version: 1 }
+            Command::Version { version: PROTOCOL_VERSION }
         } else {
             Command::Cache {
                 action: e9proto::CacheAction::Stats,

@@ -7,17 +7,15 @@
 #   1. tier-1: release build + full workspace test suite
 #   2. bench smoke: every `cargo bench` target compiles and executes
 #   3. seed-pinned reproducibility: two E9_SEED=42 synth+rewrite runs
-#      must produce byte-identical artifacts
+#      must produce byte-identical artifacts, and the removed --jobs flag
+#      must make `e9tool patch` and `e9tool hook` exit 1
 #   4. e9patchd smoke: a daemon on a temp Unix socket patches the same
 #      binary through the wire protocol, byte-identical to step 3's
 #      in-process output, and shuts down cleanly
 #   5. fault-injection smoke: a seeded e9fault campaign (520 structured
 #      mutants across the ELF and wire surfaces) must complete with zero
 #      panics; failures print an E9FAULT_SEED replay line
-#   6. parallel planning determinism: --jobs 1 and --jobs 4 must produce
-#      byte-identical patched binaries (and match the sequential output),
-#      plus a bench_parallel smoke run
-#   7. rewrite cache: patching twice with --cache-dir must report a miss
+#   6. rewrite cache: patching twice with --cache-dir must report a miss
 #      then a hit with byte-identical output, a tiny input through a
 #      default-threshold cache must report a bypass, --no-cache must skip
 #      the store, contradictory flags must fail with exit 1, a seeded
@@ -25,30 +23,29 @@
 #      bench run must show the warm memory hit beating the uncached
 #      rewrite at the largest rung (the hot-path perf gate; the committed
 #      results/bench_cache.json is restored afterwards)
-#   8. serving core: the reactor (default) and legacy --threaded daemons
+#   7. serving core: the reactor (default) and legacy --threaded daemons
 #      must patch byte-identically (and match the in-process output), the
 #      TCP transport must serve a full job through e9tool --backend tcp:,
 #      a seeded loop-surface fault campaign (hostile client behaviors
 #      against a live reactor) must pass, and the bench_serve smoke runs
 #      512 concurrent sessions against both serving modes with every
 #      client asserting byte-identity against an in-process reference
-#   9. environmental I/O faults: a seeded io-surface campaign (24 cases
+#   8. environmental I/O faults: a seeded io-surface campaign (24 cases
 #      driving ENOSPC/EIO/EINTR/short-write/failed-rename schedules
 #      through full rewrite jobs against live daemons) must pass, and a
 #      disk-full smoke boots a daemon whose cache CAS fails under an
 #      E9FAILPOINTS ENOSPC schedule: rewrites stay byte-identical while
 #      the disk circuit breaker trips to memory-only mode, probes, and
 #      recovers — the whole walk observed through `e9tool health`
-#  10. hook smoke: `e9tool hook --func 'f*' --call-original` must leave
+#   9. hook smoke: `e9tool hook --func 'f*' --call-original` must leave
 #      program stdout byte-identical under e9vm while every counter
-#      fires (the payload side effect), hook planning must be
-#      byte-identical across --jobs 1 / --jobs 4 and through a live
-#      daemon, and a run without --call-original must also preserve
-#      stdout
+#      fires (the payload side effect), hook output must be
+#      byte-identical through a live daemon, and a run without
+#      --call-original must also preserve stdout
 #
 # Knobs: E9QCHECK_CASES scales property-test depth (default 64);
 # E9_SEED pins the generator seed used by step 3's CLI runs;
-# E9FAULT_SEED pins the fault campaign seeds used by steps 5, 7, 8, 9.
+# E9FAULT_SEED pins the fault campaign seeds used by steps 5, 6, 7, 8.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -76,6 +73,14 @@ cmp "$tmp/a.elf" "$tmp/b.elf"
 "${e9tool[@]}" patch "$tmp/b.elf" -o "$tmp/b.e9" --app a1 --verify
 cmp "$tmp/a.e9" "$tmp/b.e9"
 echo "byte-identical artifacts: ok"
+# The sharded planner is gone: its flag is refused, never ignored.
+for sub in patch hook; do
+  rc=0
+  "${e9tool[@]}" "$sub" "$tmp/a.elf" -o "$tmp/a.jobs.e9" --jobs 4 2>"$tmp/jobs.log" || rc=$?
+  [ "$rc" -eq 1 ] && grep -q "unknown flag --jobs" "$tmp/jobs.log" \
+    || { echo "$sub --jobs 4 must exit 1 naming the flag (got $rc)" >&2; cat "$tmp/jobs.log" >&2; exit 1; }
+done
+echo "removed --jobs flag rejected: ok"
 
 echo "== e9patchd smoke (wire protocol vs in-process) =="
 sock="$tmp/e9.sock"
@@ -93,18 +98,6 @@ echo "backend output byte-identical to in-process: ok"
 
 echo "== fault-injection smoke (E9FAULT_SEED=${E9FAULT_SEED:-42}) =="
 target/release/e9fault --seed "${E9FAULT_SEED:-42}" --elf-cases 320 --wire-cases 200
-target/release/e9fault --seed "${E9FAULT_SEED:-42}" --elf-cases 0 --wire-cases 120 --jobs 4
-
-echo "== parallel planning determinism (--jobs 1 vs --jobs 4) =="
-"${e9tool[@]}" patch "$tmp/a.elf" -o "$tmp/a.j1.e9" --app a1 --verify --jobs 1
-"${e9tool[@]}" patch "$tmp/a.elf" -o "$tmp/a.j4.e9" --app a1 --verify --jobs 4
-cmp "$tmp/a.j1.e9" "$tmp/a.j4.e9"
-"${e9tool[@]}" gen --profile perlbench --scale 200 -o "$tmp/p.elf"
-"${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.j1.e9" --app a1 --jobs 1
-"${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.j4.e9" --app a1 --jobs 4
-cmp "$tmp/p.j1.e9" "$tmp/p.j4.e9"
-echo "parallel output byte-identical across worker counts: ok"
-cargo bench -q --offline -p e9bench --bench parallel -- --smoke --no-json
 
 echo "== rewrite cache (cold store, warm hit, byte-identical) =="
 cdir="$tmp/cache"
@@ -253,7 +246,7 @@ kill "$fpid" 2>/dev/null || true
 wait "$fpid" 2>/dev/null || true
 echo "disk-full walk: trip, probe, recovery, byte-identical throughout: ok"
 
-echo "== hook smoke: differential behaviour + planner determinism =="
+echo "== hook smoke: differential behaviour + daemon byte-identity =="
 "${e9tool[@]}" gen --tiny hooksmoke -o "$tmp/h.elf"
 "${e9tool[@]}" run "$tmp/h.elf" >"$tmp/h.orig.out"
 # Call-original hooks: stdout must be untouched, counters must fire.
@@ -267,12 +260,8 @@ grep -E "^hook +[0-9]+ .* calls [1-9]" "$tmp/h.co.counters" >/dev/null \
 "${e9tool[@]}" hook "$tmp/h.elf" -o "$tmp/h.plain.hk" --func 'f*'
 "${e9tool[@]}" run "$tmp/h.plain.hk" >"$tmp/h.plain.out" 2>/dev/null
 cmp "$tmp/h.orig.out" "$tmp/h.plain.out"
-# Hook planning is deterministic across worker counts (like stage 6,
-# sequential-vs-sharded may differ; every sharded width must agree)…
-"${e9tool[@]}" hook "$tmp/h.elf" -o "$tmp/h.j1.hk" --func 'f*' --call-original --jobs 1
-"${e9tool[@]}" hook "$tmp/h.elf" -o "$tmp/h.j4.hk" --func 'f*' --call-original --jobs 4
-cmp "$tmp/h.j1.hk" "$tmp/h.j4.hk"
-# …and through a live daemon serving the hook wire command.
+# Hook output is byte-identical through a live daemon serving the hook
+# wire command.
 hsock="$tmp/e9.hook.sock"
 target/release/e9patchd --socket "$hsock" --max-conns 1 &
 hpid=$!
@@ -285,6 +274,6 @@ done
   --backend "$hsock"
 wait "$hpid"
 cmp "$tmp/h.co.hk" "$tmp/h.wire.hk"
-echo "hooked stdout identical, counters fired, jobs/daemon byte-identical: ok"
+echo "hooked stdout identical, counters fired, daemon byte-identical: ok"
 
 echo "ALL CHECKS PASSED"

@@ -53,7 +53,7 @@ fn figure1_shape_requires_advanced_tactics() {
         tactics: Tactics::base_only(),
         ..RewriteConfig::default()
     };
-    let mut planner = Planner::new(elf.clone(), &insns, cfg, &[]);
+    let mut planner = Planner::new(elf.clone(), &insns, cfg, &[]).unwrap();
     assert_eq!(planner.patch_site(0x401000, &Template::Empty).unwrap(), None);
 
     // With T2 enabled (no T1/T3), successor eviction unlocks the site.
@@ -65,7 +65,7 @@ fn figure1_shape_requires_advanced_tactics() {
         },
         ..RewriteConfig::default()
     };
-    let mut planner = Planner::new(elf.clone(), &insns, cfg, &[]);
+    let mut planner = Planner::new(elf.clone(), &insns, cfg, &[]).unwrap();
     let got = planner.patch_site(0x401000, &Template::Empty).unwrap();
     assert_eq!(got, Some(TacticKind::T2), "successor eviction expected");
 
@@ -78,7 +78,7 @@ fn figure1_shape_requires_advanced_tactics() {
         },
         ..RewriteConfig::default()
     };
-    let mut planner = Planner::new(elf, &insns, cfg, &[]);
+    let mut planner = Planner::new(elf, &insns, cfg, &[]).unwrap();
     let got = planner.patch_site(0x401000, &Template::Empty).unwrap();
     assert_eq!(got, Some(TacticKind::T3), "neighbour eviction expected");
 }
@@ -199,7 +199,8 @@ fn single_byte_sites_limited() {
             ..RewriteConfig::default()
         },
         &[],
-    );
+    )
+    .unwrap();
     let got = planner.patch_site(push_addr, &Template::Empty).unwrap();
     assert!(
         matches!(
@@ -244,11 +245,11 @@ fn reverse_order_beats_ascending() {
         .collect();
     let elf = e9elf::Elf::parse(&prog.binary).unwrap();
 
-    let mut desc = Planner::new(elf.clone(), &insns, RewriteConfig::default(), &[]);
+    let mut desc = Planner::new(elf.clone(), &insns, RewriteConfig::default(), &[]).unwrap();
     for &s in sites.iter().rev() {
         desc.patch_site(s, &Template::Empty).unwrap();
     }
-    let mut asc = Planner::new(elf, &insns, RewriteConfig::default(), &[]);
+    let mut asc = Planner::new(elf, &insns, RewriteConfig::default(), &[]).unwrap();
     for &s in sites.iter() {
         asc.patch_site(s, &Template::Empty).unwrap();
     }
