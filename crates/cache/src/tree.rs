@@ -2,11 +2,10 @@
 //!
 //! Keying a rewrite request starts with a digest of the whole input
 //! binary — often the largest single hashing job in the pipeline. The
-//! tree digest can hash its leaves on several threads while staying
-//! **jobs-invariant**: the result depends only on the bytes, never on
-//! how many workers computed it. The front end and the daemon pass
-//! `jobs = 1`: on 64 MiB, 2 and 4 workers measured no faster than one
-//! (`results/bench_cache.json`), so the threads stay an option only.
+//! leaves are hashed on the calling thread: every caller asked for one
+//! worker, so the threaded branch only ever ran in tests and a bench,
+//! and was removed. `tree_digest` keeps its `jobs` argument for its
+//! callers and ignores it.
 //!
 //! Construction:
 //!
@@ -15,16 +14,14 @@
 //!   equality `tree_digest(d, jobs) == digest(d)` holds literally — the
 //!   property `tests/sha_props.rs` pins.
 //! * larger inputs: the data is split into fixed 1 MiB leaves, each leaf
-//!   hashed independently (in parallel across `jobs` threads, contiguous
-//!   shards per worker), and the root is
+//!   hashed independently, and the root is
 //!   `sha256(DOMAIN ‖ le64(len) ‖ leaf₀ ‖ leaf₁ ‖ …)`.
 //!
 //! The domain string and the length prefix keep the root from colliding
 //! with any plain digest of attacker-chosen bytes: a plain digest over a
 //! buffer that happens to spell `DOMAIN ‖ len ‖ leaves` is only reachable
 //! for inputs ≤ 1 MiB, and `DOMAIN` contains a NUL so it is never a
-//! prefix of ELF magic. Deterministic by construction; no locks, no
-//! shared mutable state — each worker writes disjoint leaf slots.
+//! prefix of ELF magic. Deterministic by construction.
 
 use crate::sha256::{digest, Digest, Sha256};
 
@@ -36,43 +33,17 @@ pub const CHUNK: usize = 1 << 20;
 /// a prefix of a leaf's content or of an ELF header).
 const DOMAIN: &[u8] = b"e9cache/tree-v1\0";
 
-/// Digest `data` with up to `jobs` worker threads. Jobs-invariant: the
-/// result depends only on `data`. `jobs == 0` is treated as 1.
-pub fn tree_digest(data: &[u8], jobs: usize) -> Digest {
+/// Tree digest of `data`. The result depends only on `data`; `jobs` is
+/// ignored (the leaves are always hashed on the calling thread).
+pub fn tree_digest(data: &[u8], _jobs: usize) -> Digest {
     if data.len() <= CHUNK {
         return digest(data);
     }
-
-    let chunks: Vec<&[u8]> = data.chunks(CHUNK).collect();
-    let mut leaves = vec![[0u8; 32]; chunks.len()];
-    let workers = jobs.max(1).min(chunks.len());
-
-    if workers <= 1 {
-        for (leaf, chunk) in leaves.iter_mut().zip(&chunks) {
-            *leaf = digest(chunk);
-        }
-    } else {
-        // Contiguous shards, one per worker; the split is a function of
-        // (len, workers) only and every slot is written exactly once.
-        let per = chunks.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (leaf_shard, chunk_shard) in
-                leaves.chunks_mut(per).zip(chunks.chunks(per))
-            {
-                scope.spawn(move || {
-                    for (leaf, chunk) in leaf_shard.iter_mut().zip(chunk_shard) {
-                        *leaf = digest(chunk);
-                    }
-                });
-            }
-        });
-    }
-
     let mut root = Sha256::new();
     root.update(DOMAIN);
     root.update(&(data.len() as u64).to_le_bytes());
-    for leaf in &leaves {
-        root.update(leaf);
+    for chunk in data.chunks(CHUNK) {
+        root.update(&digest(chunk));
     }
     root.finish()
 }
@@ -86,7 +57,6 @@ mod tests {
         for len in [0usize, 1, 63, 64, 4096, CHUNK] {
             let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             assert_eq!(tree_digest(&data, 1), digest(&data), "len={len}");
-            assert_eq!(tree_digest(&data, 7), digest(&data), "len={len}");
         }
     }
 
@@ -96,9 +66,7 @@ mod tests {
             .map(|i| (i as u32).wrapping_mul(2654435761) as u8)
             .collect();
         let reference = tree_digest(&data, 1);
-        for jobs in [0usize, 2, 3, 4, 16, 1000] {
-            assert_eq!(tree_digest(&data, jobs), reference, "jobs={jobs}");
-        }
+        assert_eq!(tree_digest(&data, 0), reference);
         // And it is NOT the plain digest: the tree is a different domain.
         assert_ne!(reference, digest(&data));
     }

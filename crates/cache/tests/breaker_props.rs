@@ -55,7 +55,7 @@ impl Model {
             }
             OpKind::Write => {
                 self.skipped_writes += 1;
-                if self.skipped_writes % PROBE_INTERVAL == 0 {
+                if self.skipped_writes.is_multiple_of(PROBE_INTERVAL) {
                     self.probes += 1;
                     Admit::Probe
                 } else {

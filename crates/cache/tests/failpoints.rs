@@ -9,7 +9,7 @@
 //! each other and no other test binary runs failpoints.
 
 use e9cache::{breaker, digest, Cache, CacheConfig, Entry, Hit};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The scoped gate only covers a test's activated window, so one test's
@@ -27,9 +27,9 @@ fn tmpdir(name: &str) -> PathBuf {
     d
 }
 
-fn disk_cache(dir: &PathBuf) -> Cache {
+fn disk_cache(dir: &Path) -> Cache {
     Cache::open(&CacheConfig {
-        dir: Some(dir.clone()),
+        dir: Some(dir.to_path_buf()),
         ..CacheConfig::default()
     })
     .unwrap()

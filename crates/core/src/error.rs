@@ -30,6 +30,11 @@ pub enum Error {
     /// No free address range is left for the loader segment (blocks and
     /// segments cover the whole address space).
     NoLoaderSpace,
+    /// The planner could not emit a jump it had committed to at this
+    /// address: the allocated target lies outside the pun window, or the
+    /// jump bytes fall outside the file-backed image. Never expected —
+    /// both are planner invariants, checked by `debug_assert!` too.
+    JumpEmit(u64),
 }
 
 impl fmt::Display for Error {
@@ -51,6 +56,7 @@ impl fmt::Display for Error {
                 write!(f, "granularity {m} pages: block size does not fit the address space")
             }
             Error::NoLoaderSpace => write!(f, "address space exhausted placing the loader"),
+            Error::JumpEmit(a) => write!(f, "planner could not emit its jump at {a:#x}"),
         }
     }
 }

@@ -7,6 +7,7 @@
 //! the trampoline [`AddressSpace`]. Tentative multi-step tactics (T3) are
 //! computed against byte overlays and rolled back cleanly on failure.
 
+use crate::error::{Error, Result};
 use crate::layout::{self, AddressSpace, Window};
 use crate::lock::LockMap;
 use crate::pun::PunJump;
@@ -14,7 +15,7 @@ use crate::stats::{PatchStats, TacticKind};
 use crate::trampoline::{self, BuildError, Template};
 use e9elf::{Elf, PAGE_SIZE};
 use e9x86::insn::{Insn, Kind};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 /// A single patch request: divert the instruction at `addr` through a
 /// trampoline built from `template`.
@@ -116,11 +117,37 @@ pub struct SiteReport {
     pub trampoline: Option<u64>,
 }
 
+/// The planner's instruction index: `disasm` sorted by strictly
+/// ascending address, so lookups are binary searches over the slice.
+///
+/// A slice that already ascends strictly — what every in-tree frontend
+/// produces — is borrowed as is. Anything else (daemon sessions accept
+/// `instruction` lines in any order) is copied once into a sorted slice
+/// in which the last of any duplicate address wins.
+pub(crate) fn index_insns(disasm: &[Insn]) -> Cow<'_, [Insn]> {
+    if disasm.windows(2).all(|w| w[0].addr < w[1].addr) {
+        return Cow::Borrowed(disasm);
+    }
+    let mut sorted = disasm.to_vec();
+    // Stable: duplicates keep their input order, so the last one is the
+    // last of its run.
+    sorted.sort_by_key(|i| i.addr);
+    let mut out: Vec<Insn> = Vec::with_capacity(sorted.len());
+    for insn in sorted {
+        match out.last_mut() {
+            Some(prev) if prev.addr == insn.addr => *prev = insn,
+            _ => out.push(insn),
+        }
+    }
+    Cow::Owned(out)
+}
+
 /// The planner: processes patch requests highest-address-first.
 #[derive(Debug)]
 pub struct Planner<'a> {
     elf: Elf,
-    insns: &'a BTreeMap<u64, Insn>,
+    /// Instruction index (see [`index_insns`]).
+    insns: Cow<'a, [Insn]>,
     /// Byte lock state (S1).
     pub locks: LockMap,
     /// Trampoline address-space allocator.
@@ -160,7 +187,9 @@ impl<'a> Planner<'a> {
         space
     }
 
-    /// Create a planner over a parsed binary.
+    /// Create a planner over a parsed binary and its disassembly, in any
+    /// order: an ascending `disasm` is indexed in place, any other order
+    /// is sorted once, the last of a duplicate address winning.
     ///
     /// `reserved` lists extra `[start, end)` virtual ranges trampolines must
     /// avoid (instrumentation runtime segments, etc.).
@@ -172,15 +201,15 @@ impl<'a> Planner<'a> {
     /// [`layout::block_size`]).
     pub fn new(
         elf: Elf,
-        insns: &'a BTreeMap<u64, Insn>,
+        disasm: &'a [Insn],
         cfg: RewriteConfig,
         reserved: &[(u64, u64)],
-    ) -> crate::error::Result<Planner<'a>> {
+    ) -> Result<Planner<'a>> {
         let block_size = layout::block_size(cfg.granularity)?;
         let space = Self::initial_space(&elf, block_size, reserved);
         Ok(Planner {
             elf,
-            insns,
+            insns: index_insns(disasm),
             locks: LockMap::new(),
             space,
             trampolines: Vec::new(),
@@ -190,6 +219,12 @@ impl<'a> Planner<'a> {
             block_size,
             cfg,
         })
+    }
+
+    /// The instruction at `addr`, if the disassembly has one.
+    fn insn_at(&self, addr: u64) -> Option<&Insn> {
+        let i = self.insns.binary_search_by_key(&addr, |i| i.addr).ok()?;
+        Some(&self.insns[i])
     }
 
     /// Read up to `n` file-backed bytes starting at `addr` (shorter at a
@@ -205,10 +240,21 @@ impl<'a> Planner<'a> {
         v
     }
 
-    fn write(&mut self, addr: u64, bytes: &[u8]) {
-        self.elf
-            .write_at(addr, bytes)
-            .expect("planner writes stay within file-backed segments");
+    fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<()> {
+        let written = self.elf.write_at(addr, bytes);
+        debug_assert!(
+            written.is_ok(),
+            "planner writes stay within file-backed segments"
+        );
+        written.map_err(|_| Error::JumpEmit(addr))
+    }
+
+    /// The bytes of `pun` jumping to `target`, which the allocator placed
+    /// inside the pun's target window.
+    fn encode(pun: &PunJump, target: u64) -> Result<Vec<u8>> {
+        let jmp = pun.encode(target);
+        debug_assert!(jmp.is_some(), "target {target:#x} inside pun window");
+        jmp.ok_or(Error::JumpEmit(pun.jump_addr))
     }
 
     /// Allocate trampoline space inside `window` per the configured
@@ -263,33 +309,39 @@ impl<'a> Planner<'a> {
         padding: u8,
         size_ub: usize,
         reach: Window,
-        build: &dyn Fn(u64) -> Result<Vec<u8>, BuildError>,
-    ) -> Option<PunJump> {
+        build: &dyn Fn(u64) -> std::result::Result<Vec<u8>, BuildError>,
+    ) -> Result<Option<PunJump>> {
         let img = self.bytes_at(jump_addr, padding as usize + 5);
-        let pun = PunJump::new(&img, jump_addr, writable, padding)?;
+        let Some(pun) = PunJump::new(&img, jump_addr, writable, padding) else {
+            return Ok(None);
+        };
         let (ws, we) = pun.written_range();
         if !self.locks.can_write(ws, we - ws) {
-            return None;
+            return Ok(None);
         }
-        let window = pun.target_window()?.intersect(reach)?;
-        let tramp = self.alloc(window, size_ub as u64)?;
+        let Some(window) = pun.target_window().and_then(|w| w.intersect(reach)) else {
+            return Ok(None);
+        };
+        let Some(tramp) = self.alloc(window, size_ub as u64) else {
+            return Ok(None);
+        };
         match build(tramp) {
             Ok(bytes) => {
                 debug_assert!(bytes.len() <= size_ub);
                 // Return the reservation slack.
                 self.space
                     .free(tramp + bytes.len() as u64, tramp + size_ub as u64);
-                let jmp = pun.encode(tramp).expect("target inside pun window");
-                self.write(jump_addr, &jmp);
+                let jmp = Self::encode(&pun, tramp)?;
+                self.write(jump_addr, &jmp)?;
                 self.locks.lock_modified(ws, we - ws);
                 let (ps, pe) = pun.punned_range();
                 self.locks.lock_punned(ps, pe - ps);
                 self.trampolines.push((tramp, bytes));
-                Some(pun)
+                Ok(Some(pun))
             }
             Err(_) => {
                 self.space.free(tramp, tramp + size_ub as u64);
-                None
+                Ok(None)
             }
         }
     }
@@ -301,30 +353,27 @@ impl<'a> Planner<'a> {
         template: &Template,
         reach: Window,
         size_ub: usize,
-    ) -> Option<TacticKind> {
+    ) -> Result<Option<TacticKind>> {
         let writable = insn.len() as u8;
         let max_pad = if self.cfg.tactics.t1 { writable } else { 1 };
         let template = template.clone();
         let insn_copy = *insn;
         for padding in 0..max_pad {
-            if let Some(pun) = self.place_pun(
-                insn.addr,
-                writable,
-                padding,
-                size_ub,
-                reach,
-                &|t| trampoline::build(&template, &insn_copy, t),
-            ) {
-                return Some(if padding > 0 {
+            if let Some(pun) =
+                self.place_pun(insn.addr, writable, padding, size_ub, reach, &|t| {
+                    trampoline::build(&template, &insn_copy, t)
+                })?
+            {
+                return Ok(Some(if padding > 0 {
                     TacticKind::T1
                 } else if pun.free >= 4 {
                     TacticKind::B1
                 } else {
                     TacticKind::B2
-                });
+                }));
             }
         }
-        None
+        Ok(None)
     }
 
     /// T2: evict the successor instruction so the patch site's pun bytes
@@ -335,17 +384,20 @@ impl<'a> Planner<'a> {
         template: &Template,
         reach: Window,
         size_ub: usize,
-    ) -> Option<TacticKind> {
-        let succ = *self.insns.get(&insn.end())?;
-        let s_reach = Self::reach_window(&succ)?;
+    ) -> Result<Option<TacticKind>> {
+        let Some(&succ) = self.insn_at(insn.end()) else {
+            return Ok(None);
+        };
+        let Some(s_reach) = Self::reach_window(&succ) else {
+            return Ok(None);
+        };
         let s_ub = trampoline::evictee_max_size(&succ);
-        let succ_copy = succ;
         let mut evicted = false;
         for padding in 0..succ.len() as u8 {
             if self
                 .place_pun(succ.addr, succ.len() as u8, padding, s_ub, s_reach, &|t| {
-                    trampoline::build_evictee(&succ_copy, t)
-                })
+                    trampoline::build_evictee(&succ, t)
+                })?
                 .is_some()
             {
                 evicted = true;
@@ -353,11 +405,12 @@ impl<'a> Planner<'a> {
             }
         }
         if !evicted {
-            return None;
+            return Ok(None);
         }
         // The successor's bytes are now a jump; re-pun the patch site.
-        self.try_pun_tactics(insn, template, reach, size_ub)
-            .map(|_| TacticKind::T2)
+        Ok(self
+            .try_pun_tactics(insn, template, reach, size_ub)?
+            .map(|_| TacticKind::T2))
     }
 
     /// T3: neighbour eviction with a `J_short → J_patch → trampoline`
@@ -368,7 +421,7 @@ impl<'a> Planner<'a> {
         template: &Template,
         reach: Window,
         size_ub: usize,
-    ) -> bool {
+    ) -> Result<bool> {
         let addr = insn.addr;
         let len = insn.len() as u64;
         // Geometry of the short jump (S1 restricts rel8 to forward
@@ -376,42 +429,39 @@ impl<'a> Planner<'a> {
         // limitation L2).
         let (t_lo, t_hi, short_fixed) = if len >= 2 {
             if !self.locks.can_write(addr, 2) {
-                return false;
+                return Ok(false);
             }
             (addr + 2, addr + 2 + 127, false)
         } else {
             if !self.locks.can_write(addr, 1) {
-                return false;
+                return Ok(false);
             }
             let b = self.bytes_at(addr + 1, 1);
-            let Some(&rel) = b.first() else { return false };
+            let Some(&rel) = b.first() else {
+                return Ok(false);
+            };
             if rel >= 0x80 {
-                return false; // backward rel8 — disallowed by S1
+                return Ok(false); // backward rel8 — disallowed by S1
             }
             let t = addr + 2 + rel as u64;
             (t, t, true)
         };
-        let victims: Vec<Insn> = self
-            .insns
-            .range(addr + len..=t_hi)
-            .map(|(_, v)| *v)
-            .collect();
-        for victim in victims {
+        let from = self.insns.partition_point(|i| i.addr < addr + len);
+        let to = self.insns.partition_point(|i| i.addr <= t_hi);
+        for k in from..to {
+            let victim = self.insns[k];
             let v_len = victim.len() as u64;
             for j in 1..v_len {
                 let t = victim.addr + j;
                 if t < t_lo || t > t_hi {
                     continue;
                 }
-                if self
-                    .try_t3_with(insn, template, reach, size_ub, &victim, j, short_fixed)
-                    .is_some()
-                {
-                    return true;
+                if self.try_t3_with(insn, template, reach, size_ub, &victim, j, short_fixed)? {
+                    return Ok(true);
                 }
             }
         }
-        false
+        Ok(false)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -424,7 +474,7 @@ impl<'a> Planner<'a> {
         victim: &Insn,
         j: u64,
         short_fixed: bool,
-    ) -> Option<()> {
+    ) -> Result<bool> {
         let addr = insn.addr;
         let v_addr = victim.addr;
         let v_len = victim.len() as u64;
@@ -432,39 +482,47 @@ impl<'a> Planner<'a> {
 
         // J_patch: punned jump written inside the victim at offset j.
         let img_t = self.bytes_at(t, 5);
-        let jp = PunJump::new(&img_t, t, (v_len - j) as u8, 0)?;
+        let Some(jp) = PunJump::new(&img_t, t, (v_len - j) as u8, 0) else {
+            return Ok(false);
+        };
         let (jp_ws, jp_we) = jp.written_range();
         if !self.locks.can_write(jp_ws, jp_we - jp_ws) {
-            return None;
+            return Ok(false);
         }
-        let jp_window = jp.target_window()?.intersect(reach)?;
+        let Some(jp_window) = jp.target_window().and_then(|w| w.intersect(reach)) else {
+            return Ok(false);
+        };
 
         // J_victim: punned jump at the victim's first byte; its free rel32
         // bytes are the victim bytes before J_patch.
         let jv_write_len = 1 + (j - 1).min(4);
         if !self.locks.can_write(v_addr, jv_write_len) {
-            return None;
+            return Ok(false);
         }
-        let v_reach = Self::reach_window(victim)?;
+        let Some(v_reach) = Self::reach_window(victim) else {
+            return Ok(false);
+        };
         let v_ub = trampoline::evictee_max_size(victim);
 
         // Allocate + build the patch trampoline.
-        let tramp = self.alloc(jp_window, size_ub as u64)?;
+        let Some(tramp) = self.alloc(jp_window, size_ub as u64) else {
+            return Ok(false);
+        };
         let tramp_bytes = match trampoline::build(template, insn, tramp) {
             Ok(b) => b,
             Err(_) => {
                 self.space.free(tramp, tramp + size_ub as u64);
-                return None;
+                return Ok(false);
             }
         };
-        let jp_bytes = jp.encode(tramp).expect("target inside pun window");
+        let jp_bytes = Self::encode(&jp, tramp)?;
 
         // Overlay J_patch to compute J_victim's pun window.
         let mut img_v = self.bytes_at(v_addr, (j + 5) as usize);
         let roll_patch = |s: &mut Self| s.space.free(tramp, tramp + size_ub as u64);
         if img_v.len() < 5 {
             roll_patch(self);
-            return None;
+            return Ok(false);
         }
         for (i, b) in jp_bytes.iter().enumerate() {
             let off = j as usize + i;
@@ -474,25 +532,25 @@ impl<'a> Planner<'a> {
         }
         let Some(jv) = PunJump::new(&img_v, v_addr, j.min(255) as u8, 0) else {
             roll_patch(self);
-            return None;
+            return Ok(false);
         };
         let Some(jv_window) = jv.target_window().and_then(|w| w.intersect(v_reach)) else {
             roll_patch(self);
-            return None;
+            return Ok(false);
         };
         let Some(evictee) = self.alloc(jv_window, v_ub as u64) else {
             roll_patch(self);
-            return None;
+            return Ok(false);
         };
         let ev_bytes = match trampoline::build_evictee(victim, evictee) {
             Ok(b) => b,
             Err(_) => {
                 self.space.free(evictee, evictee + v_ub as u64);
                 roll_patch(self);
-                return None;
+                return Ok(false);
             }
         };
-        let jv_bytes = jv.encode(evictee).expect("target inside pun window");
+        let jv_bytes = Self::encode(&jv, evictee)?;
 
         // --- Commit ---------------------------------------------------
         self.space
@@ -500,13 +558,13 @@ impl<'a> Planner<'a> {
         self.space
             .free(evictee + ev_bytes.len() as u64, evictee + v_ub as u64);
 
-        self.write(t, &jp_bytes);
+        self.write(t, &jp_bytes)?;
         let (jp_ws, jp_we) = jp.written_range();
         self.locks.lock_modified(jp_ws, jp_we - jp_ws);
         let (jp_ps, jp_pe) = jp.punned_range();
         self.locks.lock_punned(jp_ps, jp_pe - jp_ps);
 
-        self.write(v_addr, &jv_bytes);
+        self.write(v_addr, &jv_bytes)?;
         let (jv_ws, jv_we) = jv.written_range();
         self.locks.lock_modified(jv_ws, jv_we - jv_ws);
         let (jv_ps, jv_pe) = jv.punned_range();
@@ -514,42 +572,74 @@ impl<'a> Planner<'a> {
 
         let rel8 = (t - (addr + 2)) as u8;
         if short_fixed {
-            self.write(addr, &[e9x86::JMP_REL8_OPCODE]);
+            self.write(addr, &[e9x86::JMP_REL8_OPCODE])?;
             self.locks.lock_modified(addr, 1);
             self.locks.lock_punned(addr + 1, 1);
         } else {
-            self.write(addr, &[e9x86::JMP_REL8_OPCODE, rel8]);
+            self.write(addr, &[e9x86::JMP_REL8_OPCODE, rel8])?;
             self.locks.lock_modified(addr, 2);
         }
 
         self.trampolines.push((tramp, tramp_bytes));
         self.trampolines.push((evictee, ev_bytes));
-        Some(())
+        Ok(true)
     }
 
     /// B0 fallback: `int3` at the site, dispatched by the runtime's trap
     /// handler to the trampoline.
-    fn try_b0(&mut self, insn: &Insn, template: &Template, reach: Window, size_ub: usize) -> bool {
+    fn try_b0(
+        &mut self,
+        insn: &Insn,
+        template: &Template,
+        reach: Window,
+        size_ub: usize,
+    ) -> Result<bool> {
         if !self.locks.can_write(insn.addr, 1) {
-            return false;
+            return Ok(false);
         }
         let Some(tramp) = self.alloc(reach, size_ub as u64) else {
-            return false;
+            return Ok(false);
         };
         let bytes = match trampoline::build(template, insn, tramp) {
             Ok(b) => b,
             Err(_) => {
                 self.space.free(tramp, tramp + size_ub as u64);
-                return false;
+                return Ok(false);
             }
         };
         self.space
             .free(tramp + bytes.len() as u64, tramp + size_ub as u64);
-        self.write(insn.addr, &[e9x86::INT3_OPCODE]);
+        self.write(insn.addr, &[e9x86::INT3_OPCODE])?;
         self.locks.lock_modified(insn.addr, 1);
         self.traps.push((insn.addr, tramp));
         self.trampolines.push((tramp, bytes));
-        true
+        Ok(true)
+    }
+
+    /// The first tactic of B1/B2 → T1 → T2 → T3 → (optional) B0 that
+    /// patches `insn`, or `None`.
+    fn try_tactics(
+        &mut self,
+        insn: &Insn,
+        template: &Template,
+        reach: Window,
+    ) -> Result<Option<TacticKind>> {
+        let size_ub = trampoline::max_size(template, insn);
+        if let Some(k) = self.try_pun_tactics(insn, template, reach, size_ub)? {
+            return Ok(Some(k));
+        }
+        if self.cfg.tactics.t2 {
+            if let Some(k) = self.try_t2(insn, template, reach, size_ub)? {
+                return Ok(Some(k));
+            }
+        }
+        if self.cfg.tactics.t3 && self.try_t3(insn, template, reach, size_ub)? {
+            return Ok(Some(TacticKind::T3));
+        }
+        if self.cfg.b0_fallback && self.try_b0(insn, template, reach, size_ub)? {
+            return Ok(Some(TacticKind::B0));
+        }
+        Ok(None)
     }
 
     /// Patch one site, trying B1/B2 → T1 → T2 → T3 → (optional) B0 in
@@ -558,42 +648,19 @@ impl<'a> Planner<'a> {
     ///
     /// # Errors
     ///
-    /// [`crate::Error::NoSuchInstruction`] if `addr` is not in the
-    /// disassembly info; [`crate::Error::UnreachableTargets`] if the
-    /// instruction's rel32 targets are so far apart that no trampoline
-    /// address can reach them all (degenerate disassembly only — real
-    /// instructions span well under the ±2 GiB reach).
-    pub fn patch_site(
-        &mut self,
-        addr: u64,
-        template: &Template,
-    ) -> crate::error::Result<Option<TacticKind>> {
-        let insn = *self
-            .insns
-            .get(&addr)
-            .ok_or(crate::error::Error::NoSuchInstruction(addr))?;
+    /// [`Error::NoSuchInstruction`] if `addr` is not in the disassembly
+    /// info; [`Error::UnreachableTargets`] if the instruction's rel32
+    /// targets are so far apart that no trampoline address can reach them
+    /// all (degenerate disassembly only — real instructions span well
+    /// under the ±2 GiB reach); [`Error::JumpEmit`] if a placed jump could
+    /// not be encoded or written (a broken planner invariant).
+    pub fn patch_site(&mut self, addr: u64, template: &Template) -> Result<Option<TacticKind>> {
+        let insn = *self.insn_at(addr).ok_or(Error::NoSuchInstruction(addr))?;
         let Some(reach) = Self::reach_window(&insn) else {
-            return Err(crate::error::Error::UnreachableTargets(addr));
+            return Err(Error::UnreachableTargets(addr));
         };
 
-        let outcome = (|| {
-            let size_ub = trampoline::max_size(template, &insn);
-            if let Some(k) = self.try_pun_tactics(&insn, template, reach, size_ub) {
-                return Some(k);
-            }
-            if self.cfg.tactics.t2 {
-                if let Some(k) = self.try_t2(&insn, template, reach, size_ub) {
-                    return Some(k);
-                }
-            }
-            if self.cfg.tactics.t3 && self.try_t3(&insn, template, reach, size_ub) {
-                return Some(TacticKind::T3);
-            }
-            if self.cfg.b0_fallback && self.try_b0(&insn, template, reach, size_ub) {
-                return Some(TacticKind::B0);
-            }
-            None
-        })();
+        let outcome = self.try_tactics(&insn, template, reach)?;
 
         match outcome {
             Some(k) => self.stats.record(k),
@@ -627,12 +694,12 @@ impl<'a> Planner<'a> {
     ///
     /// Fails on duplicate or unknown addresses; individual patch *failures*
     /// are recorded in [`Planner::stats`], not returned as errors.
-    pub fn patch_all(&mut self, requests: &[PatchRequest]) -> crate::error::Result<()> {
+    pub fn patch_all(&mut self, requests: &[PatchRequest]) -> Result<()> {
         let mut sorted: Vec<&PatchRequest> = requests.iter().collect();
         sorted.sort_by_key(|r| std::cmp::Reverse(r.addr));
         for w in sorted.windows(2) {
             if w[0].addr == w[1].addr {
-                return Err(crate::error::Error::DuplicatePatch(w[0].addr));
+                return Err(Error::DuplicatePatch(w[0].addr));
             }
         }
         for req in sorted {

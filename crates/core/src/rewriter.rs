@@ -10,7 +10,6 @@ use crate::stats::{PatchStats, SizeStats};
 use e9elf::types::{PF_R, PF_W, PF_X};
 use e9elf::{Elf, Patcher, PAGE_SIZE};
 use e9x86::insn::Insn;
-use std::collections::BTreeMap;
 
 /// Trap-table manifest embedded in the output binary for the B0 fallback.
 pub mod manifest {
@@ -134,13 +133,14 @@ impl Rewriter {
     /// `disasm` is the *disassembly information* the paper treats as a tool
     /// input (instruction addresses and sizes; here full decoded
     /// instructions from [`e9x86::decode::linear_sweep`] or any other
-    /// frontend).
+    /// frontend), in any order (see [`Planner::new`]).
     ///
     /// # Errors
     ///
     /// Fails on malformed ELF input, a granularity whose block size does
     /// not fit the address space, duplicate requests, requests naming
-    /// unknown instructions, or no room left for the loader. Per-site
+    /// unknown instructions, no room left for the loader, or a jump the
+    /// planner could not emit ([`Error::JumpEmit`]). Per-site
     /// patch *failures* are reported via [`RewriteOutput::stats`], not as
     /// errors — mirroring the paper's Succ% methodology.
     pub fn rewrite(
@@ -154,13 +154,12 @@ impl Rewriter {
         let input_bytes = elf.file_size() as u64;
         let orig_entry = elf.entry();
 
-        let insns: BTreeMap<u64, Insn> = disasm.iter().map(|i| (i.addr, *i)).collect();
         let reserved: Vec<(u64, u64)> = extra
             .iter()
             .map(|s| (s.vaddr, s.vaddr + s.bytes.len() as u64))
             .collect();
 
-        let mut planner = Planner::new(elf, &insns, self.cfg, &reserved)?;
+        let mut planner = Planner::new(elf, disasm, self.cfg, &reserved)?;
         planner.patch_all(requests)?;
         let parts = planner.into_parts();
 
@@ -427,6 +426,47 @@ mod tests {
     }
 
     #[test]
+    fn shuffled_disasm_rewrites_like_sorted_last_wins() {
+        // The index sorts any order once; of two entries for one address
+        // the later wins. A bogus `ret` decoded at the first site, listed
+        // before the real instruction, must lose to it.
+        let (bin, disasm) = fig1_binary();
+        let requests: Vec<PatchRequest> = disasm
+            .iter()
+            .take(4)
+            .map(|i| PatchRequest {
+                addr: i.addr,
+                template: Template::Empty,
+            })
+            .collect();
+        let bogus = linear_sweep(&[0xC3], disasm[0].addr);
+        let mut shuffled: Vec<Insn> = disasm.iter().rev().copied().collect();
+        shuffled.insert(2, bogus[0]);
+        shuffled.push(disasm[0]);
+        let rw = Rewriter::default();
+        let want = rw.rewrite(&bin, &disasm, &requests, &[]).unwrap();
+        let got = rw.rewrite(&bin, &shuffled, &requests, &[]).unwrap();
+        assert_eq!(got.binary, want.binary);
+        assert_eq!(got.stats, want.stats);
+        // The index itself: ascending, one entry per address, last wins.
+        let index = crate::planner::index_insns(&shuffled);
+        assert_eq!(&index[..], &disasm[..]);
+    }
+
+    #[test]
+    fn sorted_disasm_is_indexed_in_place() {
+        use std::borrow::Cow;
+        let (_, disasm) = fig1_binary();
+        match crate::planner::index_insns(&disasm) {
+            Cow::Borrowed(index) => assert!(std::ptr::eq(index, &disasm[..])),
+            Cow::Owned(_) => panic!("a sorted disassembly was copied"),
+        }
+        // A repeated address is not strictly ascending: it is copied.
+        let dup = [disasm[0], disasm[0]];
+        assert!(matches!(crate::planner::index_insns(&dup), Cow::Owned(v) if v.len() == 1));
+    }
+
+    #[test]
     fn b0_fallback_registers_trap() {
         // Disable every tactic; enable B0. The site gets an int3.
         let (bin, disasm) = fig1_binary();
@@ -528,13 +568,8 @@ mod tests {
         let elf = Elf::parse(&b.build()).expect("parse");
 
         let weird = 0xFFFF_FFFF_FFFF_0000u64;
-        let mut insns: BTreeMap<u64, Insn> = linear_sweep(&code, 0x401000)
-            .into_iter()
-            .map(|i| (i.addr, i))
-            .collect();
-        for i in linear_sweep(&[0x48, 0x89, 0x03], weird) {
-            insns.insert(i.addr, i);
-        }
+        let mut insns = linear_sweep(&code, 0x401000);
+        insns.extend(linear_sweep(&[0x48, 0x89, 0x03], weird));
         let mut planner = Planner::new(elf, &insns, RewriteConfig::default(), &[]).unwrap();
         let err = planner.patch_site(weird, &Template::Empty).unwrap_err();
         assert_eq!(err, Error::UnreachableTargets(weird));
@@ -550,10 +585,7 @@ mod tests {
         b.text(code.clone(), 0x401000);
         b.entry(0x401000);
         let elf = Elf::parse(&b.build()).expect("parse");
-        let insns: BTreeMap<u64, Insn> = linear_sweep(&code, 0x401000)
-            .into_iter()
-            .map(|i| (i.addr, i))
-            .collect();
+        let insns = linear_sweep(&code, 0x401000);
         let mut planner = Planner::new(elf, &insns, RewriteConfig::default(), &[]).unwrap();
         // Outcome (patched or not) is irrelevant; reaching it without a panic
         // or error is the contract.

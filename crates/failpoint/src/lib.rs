@@ -191,7 +191,7 @@ fn coin(seed: u64, pattern: &str, hit: u64, n: u64) -> bool {
     if n <= 1 {
         return true;
     }
-    splitmix64(seed ^ fnv1a(pattern) ^ hit.wrapping_mul(0x2545_F491_4F6C_DD1D)) % n == 0
+    splitmix64(seed ^ fnv1a(pattern) ^ hit.wrapping_mul(0x2545_F491_4F6C_DD1D)).is_multiple_of(n)
 }
 
 fn parse_when(s: &str) -> Result<When, String> {

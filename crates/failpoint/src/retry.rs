@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn retry_interrupted_passes_other_errors_through() {
         let r: io::Result<()> = retry_interrupted(8, || {
-            Err(io::Error::new(io::ErrorKind::Other, "real"))
+            Err(io::Error::other("real"))
         });
         assert_eq!(r.unwrap_err().kind(), io::ErrorKind::Other);
     }

@@ -478,7 +478,7 @@ mod tests {
             HookError::NoInstructionAt(0xdead_0000)
         );
         assert!(matches!(
-            plan_hooks(&b"not an elf"[..].to_vec().as_slice(), &[], &HookSpec::counters(&["f"])),
+            plan_hooks(b"not an elf", &[], &HookSpec::counters(&["f"])),
             Err(HookError::Input(_))
         ));
     }

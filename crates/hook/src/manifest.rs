@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn hostile_name_len_rejected() {
-        let mut bytes = encode(&sample()[..1].to_vec());
+        let mut bytes = encode(&sample()[..1]);
         // Patch the name_len field (offset 12 + 40) to a huge value.
         let off = 12 + 40;
         bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn non_utf8_name_rejected() {
-        let mut bytes = encode(&sample()[..1].to_vec());
+        let mut bytes = encode(&sample()[..1]);
         let off = 12 + RECORD_FIXED; // first name byte
         bytes[off] = 0xFF;
         assert_eq!(decode(&bytes), Err(ManifestError::BadName));

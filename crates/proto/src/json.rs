@@ -543,7 +543,7 @@ mod tests {
         let full = r#"{"method":"patch","params":{"addr":4198400}}"#;
         for cut in 0..full.len() {
             assert!(
-                parse(full[..cut].as_bytes()).is_err(),
+                parse(&full.as_bytes()[..cut]).is_err(),
                 "prefix of length {cut} unexpectedly parsed"
             );
         }

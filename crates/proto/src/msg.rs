@@ -78,7 +78,7 @@ pub fn hex_encode(bytes: &[u8]) -> String {
 ///
 /// Odd length or non-hex characters.
 pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
-    if s.len() % 2 != 0 {
+    if !s.len().is_multiple_of(2) {
         return Err(format!("odd hex length {}", s.len()));
     }
     let bytes = s.as_bytes();
@@ -890,7 +890,7 @@ impl EmitReply {
             .and_then(Json::as_str)
             .ok_or("emit reply: missing binary")
             .map_err(String::from)
-            .and_then(|s| hex_decode(s))?;
+            .and_then(hex_decode)?;
         let s = v.get("stats").ok_or("emit reply: missing stats")?;
         let stats = PatchStats {
             b1: u(s, "b1")? as usize,

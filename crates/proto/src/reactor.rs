@@ -148,7 +148,7 @@ impl ServiceFactory for SessionFactory {
     type Svc = SessionService;
 
     fn connect(&mut self) -> SessionService {
-        let mut session = Session::with_limits(self.config.limits.clone());
+        let mut session = Session::with_limits(self.config.limits);
         session.set_cache(self.config.cache.clone());
         session.set_health(self.config.serving_mode, Arc::clone(&self.config.shed));
         SessionService {

@@ -200,7 +200,7 @@ pub fn serve_connection_with<R: BufRead, W: Write>(
     writer: &mut W,
     config: &ServeConfig,
 ) -> io::Result<bool> {
-    let mut session = Session::with_limits(config.limits.clone());
+    let mut session = Session::with_limits(config.limits);
     session.set_cache(config.cache.clone());
     session.set_health(config.serving_mode, Arc::clone(&config.shed));
     let mut line = Vec::new();

@@ -636,6 +636,45 @@ mod tests {
     }
 
     #[test]
+    fn instruction_order_does_not_change_the_emit_reply() {
+        // `instruction` lines may arrive in any order; the rewriter
+        // indexes them by address, so the reply bytes are the same.
+        let prog = e9synth::generate(&e9synth::Profile::tiny("insn-order", false));
+        let emit = |insns: &[Insn]| {
+            let mut s = Session::new();
+            s.handle(Command::Version {
+                version: PROTOCOL_VERSION,
+            })
+            .unwrap();
+            s.handle(Command::Binary {
+                bytes: prog.binary.clone(),
+                digest: None,
+            })
+            .unwrap();
+            for i in insns {
+                s.handle(Command::Instruction {
+                    addr: i.addr,
+                    bytes: i.bytes().to_vec(),
+                })
+                .unwrap();
+            }
+            for i in prog.disasm.iter().filter(|i| i.kind.is_jump()) {
+                s.handle(Command::Patch {
+                    addr: i.addr,
+                    template: Template::Empty,
+                })
+                .unwrap();
+            }
+            s.handle(Command::Emit).unwrap()
+        };
+        let in_order = emit(&prog.disasm);
+        let reversed: Vec<Insn> = prog.disasm.iter().rev().copied().collect();
+        assert_eq!(emit(&reversed).serialize(), in_order.serialize());
+        let reply = EmitReply::from_json(&in_order).unwrap();
+        assert!(reply.stats.succeeded() > 0, "{:?}", reply.stats);
+    }
+
+    #[test]
     fn options_steer_the_config() {
         let (bin, code, base) = tiny();
         let disasm = e9x86::decode::linear_sweep(&code, base);

@@ -16,13 +16,13 @@ fn build_json(ops: &mut std::vec::IntoIter<u8>, depth: usize) -> Json {
     let structural = depth < 3;
     match op % if structural { 6 } else { 4 } {
         0 => Json::Null,
-        1 => Json::Bool(ops.next().unwrap_or(0) % 2 == 0),
+        1 => Json::Bool(ops.next().unwrap_or(0).is_multiple_of(2)),
         2 => {
             let mut v = 0i128;
             for _ in 0..8 {
                 v = (v << 8) | ops.next().unwrap_or(0) as i128;
             }
-            if ops.next().unwrap_or(0) % 2 == 0 {
+            if ops.next().unwrap_or(0).is_multiple_of(2) {
                 v = -v;
             }
             Json::Int(v)
@@ -204,14 +204,14 @@ props! {
         // parser without the bound would blow the stack instead.
         let mut bomb = Vec::with_capacity(depth * 2);
         bomb.resize(depth, b'[');
-        bomb.extend(std::iter::repeat(b']').take(depth));
+        bomb.extend(std::iter::repeat_n(b']', depth));
         prop_assert!(json::parse(&bomb).is_err());
         let mut objs = Vec::with_capacity(depth * 8);
         for _ in 0..depth {
             objs.extend_from_slice(b"{\"k\":");
         }
         objs.push(b'1');
-        objs.extend(std::iter::repeat(b'}').take(depth));
+        objs.extend(std::iter::repeat_n(b'}', depth));
         prop_assert!(json::parse(&objs).is_err());
     }
 }

@@ -556,7 +556,7 @@ impl<F: ServiceFactory> Reactor<F> {
                 }
                 Ok(n) => {
                     conn.last_activity = Instant::now();
-                    if !self.ingest(token, &tmp[..n].to_vec()) {
+                    if !self.ingest(token, &tmp[..n]) {
                         return; // connection was shed mid-ingest
                     }
                 }

@@ -4,7 +4,8 @@
 # Fully hermetic: no network, no registry access (all dependencies are
 # in-tree path crates; see "Hermetic build" in README.md). Runs:
 #
-#   1. tier-1: release build + full workspace test suite
+#   1. tier-1: release build + full workspace test suite, and clippy
+#      over every target with warnings as errors
 #   2. bench smoke: every `cargo bench` target compiles and executes
 #   3. seed-pinned reproducibility: two E9_SEED=42 synth+rewrite runs
 #      must produce byte-identical artifacts, and the removed --jobs flag
@@ -57,6 +58,9 @@ cargo build --release --offline --workspace
 
 echo "== tier-1: cargo test (workspace) =="
 cargo test -q --offline --workspace
+
+echo "== lint: cargo clippy (warnings are errors) =="
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== bench smoke (in-tree harness) =="
 cargo bench -q --offline -p e9bench -- --smoke --no-json
